@@ -136,23 +136,30 @@ let reeval_fixture =
      let sched = scheds.(0) in
      let session = Makespan.Engine.start_session (Lazy.force shared_engine) sched in
      let exits = Dag.Graph.exits inst.E.Case.graph in
-     let moved = exits.(Array.length exits - 1) in
-     let to_ = (sched.Sched.Schedule.proc_of.(moved) + 1) mod 8 in
-     ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_);
-     (session, moved, to_))
+     let task = exits.(Array.length exits - 1) in
+     let to_ = (sched.Sched.Schedule.proc_of.(task) + 1) mod 8 in
+     let move = Sched.Neighbor.Reassign (Sched.Neighbor.make ~task ~to_ ()) in
+     ignore (Makespan.Engine.reevaluate_any ~commit:false session move);
+     (session, move))
 
 let mc_batch fx count =
   let inst, sched = fx in
   Makespan.Montecarlo.realizations ~domains:1 ~rng:(Prng.Xoshiro.create 7L) ~count sched
     inst.E.Case.platform inst.E.Case.model
 
+(* a fresh engine per call, so a kernel measures uncached evaluation *)
+let cold_eval ?backend (inst, sched) =
+  let engine =
+    Makespan.Engine.create ~graph:inst.E.Case.graph ~platform:inst.E.Case.platform ~model
+  in
+  Makespan.Engine.eval ?backend engine sched
+
 (* one Test.make per table/figure *)
 let figure_tests =
   [
     Test.make ~name:"fig1:classical-vs-mc-ks"
       (Staged.stage (fun () ->
-           let inst, sched = Lazy.force cholesky10 in
-           let d = Makespan.Classic.run sched inst.E.Case.platform model in
+           let d = cold_eval (Lazy.force cholesky10) in
            let samples = mc_batch (Lazy.force cholesky10) 500 in
            ignore
              (Stats.Distance.ks (Analytic d)
@@ -194,8 +201,8 @@ let figure_tests =
   ]
 
 (* engine vs legacy: same work — full metric vectors for a batch of
-   schedules of one case — through the shared engine vs the uncached
-   per-schedule path *)
+   schedules of one case — through the shared engine vs a one-shot
+   engine per schedule *)
 let engine_tests =
   [
     Test.make ~name:"engine:metrics-batch8"
@@ -222,13 +229,6 @@ let engine_tests =
            let _, scheds = Lazy.force sched_batch in
            let engine = Lazy.force shared_engine in
            Array.iter (fun s -> ignore (Makespan.Engine.eval engine s)) scheds));
-    Test.make ~name:"legacy:classical-batch8"
-      (Staged.stage (fun () ->
-           let inst, scheds = Lazy.force sched_batch in
-           Array.iter
-             (fun s ->
-               ignore (Makespan.Classic.run s inst.E.Case.platform inst.E.Case.model))
-             scheds));
   ]
 
 (* telemetry overhead: the identical warm-cache engine eval with sinks
@@ -304,8 +304,7 @@ let substrate_tests =
            ignore (Sched.Random_sched.generate ~rng ~graph:inst.E.Case.graph ~n_procs:8)));
     Test.make ~name:"substrate:dodin-reduce"
       (Staged.stage (fun () ->
-           let inst, sched = Lazy.force cholesky10 in
-           ignore (Makespan.Dodin.run sched inst.E.Case.platform model)));
+           ignore (cold_eval ~backend:Makespan.Engine.Dodin (Lazy.force cholesky10))));
     Test.make ~name:"substrate:slack"
       (Staged.stage (fun () ->
            let inst, sched = Lazy.force gauss103 in
@@ -481,9 +480,10 @@ let dist_tests =
       (Staged.stage (fun () ->
            let w = Lazy.force wide_partial in
            ignore (Distribution.Dist.mean w +. Distribution.Dist.std w)));
-    (* the direct-tier sum (64×64 ≤ the 4096-cell direct cutoff) runs on
-       unboxed floatarray work buffers; this kernel is that tier's
-       end-to-end cost — sample, flat direct convolution, grid rebuild *)
+    (* a direct-size sum (64×64 ≤ the 4096-cell cutoff below which
+       [Convolution.auto_into] runs the direct kernel) on the single
+       boxed tier, end to end: sample, direct convolution, grid rebuild.
+       The name stays because CI asserts on it. *)
     Test.make ~name:"dist:add-unboxed"
       (Staged.stage (fun () ->
            let u = Lazy.force uncertain in
@@ -521,8 +521,8 @@ let reeval_tests =
   [
     Test.make ~name:"engine:reeval-1move"
       (Staged.stage (fun () ->
-           let session, moved, to_ = Lazy.force reeval_fixture in
-           ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_)));
+           let session, move = Lazy.force reeval_fixture in
+           ignore (Makespan.Engine.reevaluate_any ~commit:false session move)));
   ]
 
 (* robustness-aware search: one short annealing run per Bechamel run (the
@@ -553,12 +553,10 @@ let swap_fixture =
      let rng = Prng.Xoshiro.create 17L in
      let swap =
        match Sched.Neighbor.random_swap ~rng sched with
-       | Some s -> s
+       | Some s -> Sched.Neighbor.Swap s
        | None -> failwith "bench: no feasible swap on random30"
      in
-     ignore
-       (Makespan.Engine.reevaluate_swap ~commit:false session ~a:swap.Sched.Neighbor.a
-          ~b:swap.Sched.Neighbor.b);
+     ignore (Makespan.Engine.reevaluate_any ~commit:false session swap);
      (session, swap))
 
 let search_tests =
@@ -566,9 +564,7 @@ let search_tests =
     Test.make ~name:"search:probe-swap"
       (Staged.stage (fun () ->
            let session, swap = Lazy.force swap_fixture in
-           ignore
-             (Makespan.Engine.reevaluate_swap ~commit:false session
-                ~a:swap.Sched.Neighbor.a ~b:swap.Sched.Neighbor.b)));
+           ignore (Makespan.Engine.reevaluate_any ~commit:false session swap)));
     Test.make ~name:"search:anneal-32step"
       (Staged.stage (fun () ->
            let inst, _ = Lazy.force random30 in
@@ -767,10 +763,8 @@ let measure_live_eval () =
    re-evaluated schedule, same case and protocol as [measure_live_eval]
    (40 warm iterations) so the two numbers are directly comparable *)
 let measure_live_reeval () =
-  let session, moved, to_ = Lazy.force reeval_fixture in
-  let reeval () =
-    ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_)
-  in
+  let session, move = Lazy.force reeval_fixture in
+  let reeval () = ignore (Makespan.Engine.reevaluate_any ~commit:false session move) in
   reeval ();
   let iters = 5 * batch_size in
   let w0 = Gc.minor_words () in

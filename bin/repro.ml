@@ -272,12 +272,13 @@ let run_bounds kind n procs ul seed =
   let sched =
     Sched.Random_sched.generate ~rng ~graph:inst.E.Case.graph ~n_procs:procs
   in
-  let b = Makespan.Bounds.run sched inst.E.Case.platform inst.E.Case.model in
   let engine =
     Makespan.Engine.create ~graph:inst.E.Case.graph ~platform:inst.E.Case.platform
       ~model:inst.E.Case.model
   in
-  let classical = Makespan.Engine.eval engine sched in
+  let b = Makespan.Bounds.run engine sched in
+  (* the upper bound is the classical evaluation itself *)
+  let classical = b.Makespan.Bounds.upper in
   let mc =
     Makespan.Montecarlo.run ~rng ~count:20000 sched inst.E.Case.platform inst.E.Case.model
   in

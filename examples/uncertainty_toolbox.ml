@@ -17,7 +17,7 @@ let () =
   List.iter
     (fun (name, shape) ->
       let model = Core.Uncertainty.make_shaped ~shape ~ul:1.3 () in
-      let d = Core.Makespan_eval.distribution sched platform model in
+      let d = Core.Engine.eval (Core.Engine.create ~graph ~platform ~model) sched in
       Printf.printf "   %-16s  E(M) %8.2f   σ(M) %7.3f   skew %+.3f\n" name
         (Core.Dist.mean d) (Core.Dist.std d) (Core.Dist.skewness d))
     [ ("beta(2,5)", Core.Uncertainty.Beta { alpha = 2.; beta = 5. });
@@ -27,7 +27,8 @@ let () =
 
   (* 2. Kleindorfer-style bracket around Monte Carlo. *)
   let model = Core.Uncertainty.make ~ul:1.3 () in
-  let b = Core.Makespan_bounds.run sched platform model in
+  let engine = Core.Engine.create ~graph ~platform ~model in
+  let b = Core.Makespan_bounds.run engine sched in
   let mc = Core.Montecarlo.run ~rng ~count:20000 sched platform model in
   Printf.printf
     "\n2. Dependence bounds (comonotone vs independent maxima):\n\
@@ -43,7 +44,7 @@ let () =
   let pairs =
     List.map
       (fun s ->
-        let d = Core.Makespan_eval.distribution s platform model in
+        let d = Core.Engine.eval engine s in
         (Core.Dist.mean d, Core.Dist.std d))
       schedules
   in

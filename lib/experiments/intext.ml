@@ -70,18 +70,15 @@ let methods_vs_mc ?domains ?(scale = Scale.of_env ()) ?cases () =
       in
       let engine = Makespan.Engine.create ~graph ~platform ~model in
       List.map
-        (fun m ->
-          let d =
-            Makespan.Engine.eval ~backend:(Makespan.Engine.backend_of_method m) engine
-              sched
-          in
+        (fun backend ->
+          let d = Makespan.Engine.eval ~backend engine sched in
           {
             case_id = case.Case.id;
-            method_name = Makespan.Eval.method_name m;
+            method_name = Makespan.Engine.backend_name backend;
             ks = Stats.Distance.ks (Analytic d) (Sampled emp);
             cm = Stats.Distance.cm_area (Analytic d) (Sampled emp);
           })
-        Makespan.Eval.all_methods)
+        Makespan.Engine.[ Classical; Dodin; Spelde ])
     cases
 
 let render_methods rows =

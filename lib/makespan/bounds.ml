@@ -3,49 +3,21 @@ type t = {
   upper : Distribution.Dist.t;
 }
 
-(* the classical sweep with a pluggable maximum operator *)
-let sweep ~max_op sched platform model =
-  let open Distribution in
-  let points = model.Workloads.Stochastify.points in
-  let dgraph = Sched.Disjunctive.graph_of sched in
-  let graph = sched.Sched.Schedule.graph in
-  let proc_of = sched.Sched.Schedule.proc_of in
-  let n = Dag.Graph.n_tasks dgraph in
-  let completion = Array.make n (Dist.const 0.) in
-  Array.iter
-    (fun v ->
-      let arrivals =
-        Array.to_list (Dag.Graph.preds dgraph v)
-        |> List.map (fun (p, _) ->
-               match Dag.Graph.volume graph ~src:p ~dst:v with
-               | None -> completion.(p)
-               | Some volume ->
-                 let comm =
-                   Workloads.Stochastify.comm_dist model platform ~volume
-                     ~src:proc_of.(p) ~dst:proc_of.(v)
-                 in
-                 Dist.add ~points completion.(p) comm)
-      in
-      let ready =
-        match arrivals with
-        | [] -> Dist.const 0.
-        | d :: ds -> List.fold_left (fun acc x -> max_op ~points acc x) d ds
-      in
-      let dur = Workloads.Stochastify.task_dist model platform ~task:v ~proc:proc_of.(v) in
-      completion.(v) <- Dist.add ~points ready dur)
-    (Dag.Graph.topo_order dgraph);
-  let exits = Dag.Graph.exits dgraph in
-  match Array.to_list (Array.map (fun e -> completion.(e)) exits) with
-  | [] -> Dist.const 0.
-  | d :: ds -> List.fold_left (fun acc x -> max_op ~points acc x) d ds
+let max_comonotone ~points a b = Distribution.Dist.max_comonotone ~points a b
 
-let run sched platform model =
-  {
-    lower = sweep ~max_op:(fun ~points a b -> Distribution.Dist.max_comonotone ~points a b)
-        sched platform model;
-    upper = sweep ~max_op:(fun ~points a b -> Distribution.Dist.max_indep ~points a b)
-        sched platform model;
-  }
+(* the engine's classical backend with every maximum made comonotone *)
+let lower engine sched =
+  let points = (Engine.model engine).Workloads.Stochastify.points in
+  let dgraph = Sched.Disjunctive.graph_of sched in
+  let completion =
+    Classic.completion_dists_with ~max:max_comonotone ~points ~dgraph
+      ~task_dist:(Engine.task_dist engine) ~comm_dist:(Engine.comm_dist engine) sched
+  in
+  Classic.makespan_of_exits ~max:max_comonotone ~points dgraph completion
+
+let run engine sched =
+  let upper = Engine.eval engine sched in
+  { lower = lower engine sched; upper }
 
 let enclose b d =
   let open Distribution in

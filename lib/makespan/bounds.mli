@@ -13,10 +13,14 @@
 
 type t = {
   lower : Distribution.Dist.t;  (** comonotone maxima: M ≽ lower *)
-  upper : Distribution.Dist.t;  (** independent maxima (= {!Classic.run}): M ≼ upper *)
+  upper : Distribution.Dist.t;  (** independent maxima (= {!Engine.eval}): M ≼ upper *)
 }
 
-val run : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> t
+val run : Engine.t -> Sched.Schedule.t -> t
+(** Both bounds for a schedule of the engine's case. [upper] is the
+    classical {!Engine.eval}; [lower] runs the same {!Classic} sweep over
+    the engine's cached distributions with {!Distribution.Dist.max_comonotone}
+    in place of the independent maximum. *)
 
 val enclose : t -> Distribution.Dist.t -> bool
 (** [enclose b d] checks the CDF bracketing

@@ -1,10 +1,13 @@
-(* The forward sweep is shared between the legacy per-call path and the
-   cached {!Engine} path: [completion_dists_with] takes the duration and
+(* The forward sweep behind {!Engine}'s classical backend and
+   {!Bounds}: [completion_dists_with] takes the duration and
    communication distributions as functions (plus an optional
-   caller-owned scratch array), so the same propagation serves direct
-   Stochastify lookups and an engine's memo tables. *)
+   caller-owned scratch array) and the maximum operator as an argument,
+   so one propagation serves the engine's memo tables under either the
+   independent or the comonotone maximum. *)
 
-let update_node ~points ~dgraph
+type max_op = points:int -> Distribution.Dist.t -> Distribution.Dist.t -> Distribution.Dist.t
+
+let update_node ~(max : max_op) ~points ~dgraph
     ~(task_dist : task:int -> proc:int -> Distribution.Dist.t)
     ~(comm_dist : volume:float -> src:int -> dst:int -> Distribution.Dist.t)
     sched completion v =
@@ -29,7 +32,7 @@ let update_node ~points ~dgraph
     else begin
       let acc = ref (arrival preds.(0)) in
       for i = 1 to np - 1 do
-        acc := Distribution.Dist.max_indep ~points !acc (arrival preds.(i))
+        acc := max ~points !acc (arrival preds.(i))
       done;
       !acc
     end
@@ -37,7 +40,7 @@ let update_node ~points ~dgraph
   let dur = task_dist ~task:v ~proc:proc_of.(v) in
   completion.(v) <- Distribution.Dist.add ~points ready dur
 
-let completion_dists_with ~points ~dgraph ?completion
+let completion_dists_with ~max ~points ~dgraph ?completion
     ~(task_dist : task:int -> proc:int -> Distribution.Dist.t)
     ~(comm_dist : volume:float -> src:int -> dst:int -> Distribution.Dist.t) sched =
   let n = Dag.Graph.n_tasks dgraph in
@@ -47,30 +50,15 @@ let completion_dists_with ~points ~dgraph ?completion
     | Some _ | None -> Array.make n (Distribution.Dist.const 0.)
   in
   Array.iter
-    (update_node ~points ~dgraph ~task_dist ~comm_dist sched completion)
+    (update_node ~max ~points ~dgraph ~task_dist ~comm_dist sched completion)
     (Dag.Graph.topo_order dgraph);
   completion
 
-let makespan_of_exits ~points dgraph completion =
+let makespan_of_exits ~(max : max_op) ~points dgraph completion =
   let exits = Dag.Graph.exits dgraph in
   if Array.length exits = 0 then invalid_arg "Dist.max_list: empty list";
   let acc = ref completion.(exits.(0)) in
   for i = 1 to Array.length exits - 1 do
-    acc := Distribution.Dist.max_indep ~points !acc completion.(exits.(i))
+    acc := max ~points !acc completion.(exits.(i))
   done;
   !acc
-
-let completion_dists sched platform model =
-  let points = model.Workloads.Stochastify.points in
-  let dgraph = Sched.Disjunctive.graph_of sched in
-  completion_dists_with ~points ~dgraph
-    ~task_dist:(fun ~task ~proc -> Workloads.Stochastify.task_dist model platform ~task ~proc)
-    ~comm_dist:(fun ~volume ~src ~dst ->
-      Workloads.Stochastify.comm_dist model platform ~volume ~src ~dst)
-    sched
-
-let run sched platform model =
-  let points = model.Workloads.Stochastify.points in
-  let dgraph = Sched.Disjunctive.graph_of sched in
-  let completion = completion_dists sched platform model in
-  makespan_of_exits ~points dgraph completion

@@ -7,9 +7,20 @@
     the max, convolution for the sum), then [C(t) = ready(t) + dur(t)].
     The makespan is the max over exit completions. This is exactly the
     method the paper selected after finding it as accurate as Dodin's and
-    Spelde's on its cases (its degradation with graph size is Fig. 1). *)
+    Spelde's on its cases (its degradation with graph size is Fig. 1).
+
+    The evaluation entry point is {!Engine.eval}; this module is its
+    classical backend. Every function takes the maximum operator as
+    [~max]: the engine passes {!Distribution.Dist.max_indep}, and
+    {!Bounds} passes {!Distribution.Dist.max_comonotone} for the lower
+    bound. *)
+
+type max_op = points:int -> Distribution.Dist.t -> Distribution.Dist.t -> Distribution.Dist.t
+(** A binary maximum of completion-time distributions on [points]-sample
+    grids. *)
 
 val update_node :
+  max:max_op ->
   points:int ->
   dgraph:Dag.Graph.t ->
   task_dist:(task:int -> proc:int -> Distribution.Dist.t) ->
@@ -20,12 +31,13 @@ val update_node :
   unit
 (** Recompute one node's completion distribution in place from its
     predecessors' entries in the given array — the single-node body of
-    {!completion_dists_with}, exposed so {!Engine.reevaluate} can replay
+    {!completion_dists_with}, exposed so {!Engine.reevaluate_any} can replay
     just a dirty cone and still produce bitwise-identical results (the
     fold order over [Dag.Graph.preds] is the deterministic sorted
     order). *)
 
 val completion_dists_with :
+  max:max_op ->
   points:int ->
   dgraph:Dag.Graph.t ->
   ?completion:Distribution.Dist.t array ->
@@ -33,20 +45,16 @@ val completion_dists_with :
   comm_dist:(volume:float -> src:int -> dst:int -> Distribution.Dist.t) ->
   Sched.Schedule.t ->
   Distribution.Dist.t array
-(** The propagation with injected duration/communication distributions —
-    the shared core behind both {!completion_dists} and the cached
-    {!Engine} path. [dgraph] must be the schedule's disjunctive graph.
+(** The propagation with injected duration/communication distributions.
+    [dgraph] must be the schedule's disjunctive graph.
     When [?completion] is given and long enough it is used as scratch and
     returned (entries beyond the task count are left untouched);
     otherwise a fresh array is allocated. *)
 
 val makespan_of_exits :
-  points:int -> Dag.Graph.t -> Distribution.Dist.t array -> Distribution.Dist.t
+  max:max_op ->
+  points:int ->
+  Dag.Graph.t ->
+  Distribution.Dist.t array ->
+  Distribution.Dist.t
 (** Maximum of the exit tasks' completion distributions. *)
-
-val completion_dists :
-  Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> Distribution.Dist.t array
-(** Per-task completion-time distributions under independence. *)
-
-val run : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> Distribution.Dist.t
-(** The makespan distribution. *)

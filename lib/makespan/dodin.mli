@@ -20,10 +20,5 @@ val evaluate_with :
   Sched.Schedule.t ->
   outcome
 (** The reduction with injected duration/communication distributions —
-    the shared core behind {!evaluate} and the cached {!Engine} path.
-    [dgraph] must be the schedule's disjunctive graph. *)
-
-val evaluate : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> outcome
-
-val run : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> Distribution.Dist.t
-(** [(evaluate ...).dist]. *)
+    the [Dodin] backend of {!Engine.eval}, which feeds it the engine's
+    cached views. [dgraph] must be the schedule's disjunctive graph. *)

@@ -25,11 +25,6 @@ type backend =
   | Spelde
   | Montecarlo of { count : int; seed : int64 }
 
-let backend_of_method = function
-  | Eval.Classical -> Classical
-  | Eval.Dodin -> Dodin
-  | Eval.Spelde -> Spelde
-
 let backend_name = function
   | Classical -> "classical"
   | Dodin -> "dodin"
@@ -286,12 +281,15 @@ let scratch_pairs t n =
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The classical backend's maximum: independence, the paper's choice. *)
+let max_indep ~points a b = Distribution.Dist.max_indep ~points a b
+
 let check_schedule t sched =
   if Dag.Graph.n_tasks sched.Sched.Schedule.graph <> t.n_tasks then
     invalid_arg "Engine: schedule belongs to a different case (task-count mismatch)"
 
 let completion_dists t ~dgraph sched =
-  Classic.completion_dists_with ~points:t.points ~dgraph
+  Classic.completion_dists_with ~max:max_indep ~points:t.points ~dgraph
     ~completion:(scratch_dists t (Dag.Graph.n_tasks dgraph))
     ~task_dist:(fun ~task ~proc -> task_dist t ~task ~proc)
     ~comm_dist:(fun ~volume ~src ~dst -> comm_dist t ~volume ~src ~dst)
@@ -300,7 +298,8 @@ let completion_dists t ~dgraph sched =
 let dist_of_backend t ~dgraph backend sched =
   match backend with
   | Classical ->
-    Classic.makespan_of_exits ~points:t.points dgraph (completion_dists t ~dgraph sched)
+    Classic.makespan_of_exits ~max:max_indep ~points:t.points dgraph
+      (completion_dists t ~dgraph sched)
   | Dodin ->
     (Dodin.evaluate_with ~points:t.points ~dgraph
        ~task_dist:(fun ~task ~proc -> task_dist t ~task ~proc)
@@ -395,7 +394,7 @@ let analyze ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
    the sequence comparison (pred arrays are sorted by task id, so the
    comparison — and the downstream fold order — is deterministic).
    Everything else sees bitwise-identical inputs and keeps its stored
-   value, which is why [reevaluate] agrees bitwise with a fresh
+   value, which is why [reevaluate_any] agrees bitwise with a fresh
    [analyze] of the patched schedule. *)
 
 type session = {
@@ -427,12 +426,12 @@ let full_makespan t backend ~dgraph ~completion ~moments sched =
   match backend with
   | Classical ->
     ignore
-      (Classic.completion_dists_with ~points:t.points ~dgraph ~completion
+      (Classic.completion_dists_with ~max:max_indep ~points:t.points ~dgraph ~completion
          ~task_dist:(fun ~task ~proc -> session_task_dist t ~task ~proc)
          ~comm_dist:(fun ~volume ~src ~dst -> session_comm_dist t ~volume ~src ~dst)
          sched
         : Distribution.Dist.t array);
-    Classic.makespan_of_exits ~points:t.points dgraph completion
+    Classic.makespan_of_exits ~max:max_indep ~points:t.points dgraph completion
   | Spelde ->
     let m =
       Spelde.moments_with ~dgraph ~completion:moments
@@ -560,13 +559,13 @@ let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
           (fun v ->
             if dirty.(v) then begin
               if not commit then saved := (v, `Dist completion.(v)) :: !saved;
-              Classic.update_node ~points:t.points ~dgraph:dgraph'
+              Classic.update_node ~max:max_indep ~points:t.points ~dgraph:dgraph'
                 ~task_dist:(fun ~task ~proc -> session_task_dist t ~task ~proc)
                 ~comm_dist:(fun ~volume ~src ~dst -> session_comm_dist t ~volume ~src ~dst)
                 sched' completion v
             end)
           (Dag.Graph.topo_order dgraph');
-        Classic.makespan_of_exits ~points:t.points dgraph' completion
+        Classic.makespan_of_exits ~max:max_indep ~points:t.points dgraph' completion
       | Spelde ->
         let moments = session.s_moments in
         Array.iter
@@ -608,20 +607,13 @@ let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
       !saved;
   ev
 
-let reevaluate ?(commit = true) ?max_cone ?at session ~moved ~to_ =
-  let sched' = Sched.Schedule.reassign ?at session.sched ~task:moved ~to_ in
-  reevaluate_patched ~commit ~max_cone session ~seeds:[ moved ] sched'
-
-let reevaluate_move ?commit ?max_cone session (m : Sched.Neighbor.move) =
-  reevaluate ?commit ?max_cone ?at:m.Sched.Neighbor.at session ~moved:m.Sched.Neighbor.task
-    ~to_:m.Sched.Neighbor.to_
-
-let reevaluate_swap ?(commit = true) ?max_cone session ~a ~b =
-  let sched' = Sched.Schedule.swap session.sched ~a ~b in
-  reevaluate_patched ~commit ~max_cone session ~seeds:[ a; b ] sched'
-
-let reevaluate_any ?commit ?max_cone session (m : Sched.Neighbor.any) =
-  match m with
-  | Sched.Neighbor.Reassign mv -> reevaluate_move ?commit ?max_cone session mv
-  | Sched.Neighbor.Swap s ->
-    reevaluate_swap ?commit ?max_cone session ~a:s.Sched.Neighbor.a ~b:s.Sched.Neighbor.b
+let reevaluate_any ?(commit = true) ?max_cone session (m : Sched.Neighbor.any) =
+  (* build the neighbor first: an infeasible move raises before any
+     session state is touched *)
+  let sched' = Sched.Neighbor.apply_any session.sched m in
+  let seeds =
+    match m with
+    | Sched.Neighbor.Reassign mv -> [ mv.Sched.Neighbor.task ]
+    | Sched.Neighbor.Swap sw -> [ sw.Sched.Neighbor.a; sw.Sched.Neighbor.b ]
+  in
+  reevaluate_patched ~commit ~max_cone session ~seeds sched'

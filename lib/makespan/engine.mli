@@ -29,10 +29,8 @@ type backend =
   | Montecarlo of { count : int; seed : int64 }
       (** ground truth by simulation; deterministic given [seed] *)
 
-val backend_of_method : Eval.method_ -> backend
-(** Embedding of the analytic methods enumerated by {!Eval}. *)
-
 val backend_name : backend -> string
+(** ["classical"], ["dodin"], ["spelde"] or ["montecarlo"]. *)
 
 val backend_of_name : ?mc_count:int -> ?mc_seed:int64 -> string -> backend option
 (** Inverse of {!backend_name} for wire protocols and CLIs
@@ -78,13 +76,14 @@ val analyze :
 
     A {!session} pins one schedule and keeps its per-node completion
     state (distributions for [Classical], moments for [Spelde]) alive,
-    so re-evaluating a one-task move only recomputes the dirty
+    so re-evaluating a neighbor ({!Sched.Neighbor.any}: a one-task
+    reassignment or a two-task swap) only recomputes the dirty
     downstream cone — the difference between local / adversarial search
     being feasible or not. The cone is the closure, under the patched
     disjunctive graph's successors, of the moved task plus every node
     whose predecessor sequence changed; nodes outside it see
     bitwise-identical inputs and keep their stored values, so
-    {!reevaluate} agrees {e bitwise} with a fresh {!analyze} of the
+    {!reevaluate_any} agrees {e bitwise} with a fresh {!analyze} of the
     patched schedule. Cones above [max_cone] (default: half the task
     count), [Dodin] (a global series–parallel reduction) and
     [Montecarlo] fall back to a full evaluation — same bits, no
@@ -110,36 +109,16 @@ val session_evaluation : session -> evaluation
 
 val session_backend : session -> backend
 
-val reevaluate :
-  ?commit:bool ->
-  ?max_cone:int ->
-  ?at:int ->
-  session ->
-  moved:int ->
-  to_:int ->
-  evaluation
-(** Evaluation of the one-move neighbor [Schedule.reassign ?at sched
-    ~task:moved ~to_], recomputing only the dirty cone when the backend
-    allows it. [commit] (default true) advances the session to the
-    neighbor; [commit:false] evaluates and restores the previous state,
-    so many neighbors can be probed off one base schedule. Raises
-    [Invalid_argument] if the move would deadlock the eager execution
-    (session state is untouched in that case). *)
-
-val reevaluate_move :
-  ?commit:bool -> ?max_cone:int -> session -> Sched.Neighbor.move -> evaluation
-(** {!reevaluate} on a packaged {!Sched.Neighbor.move}. *)
-
-val reevaluate_swap :
-  ?commit:bool -> ?max_cone:int -> session -> a:int -> b:int -> evaluation
-(** Like {!reevaluate} for the two-task exchange [Schedule.swap ~a ~b].
-    The dirty cone is seeded from both tasks, so swaps replay exactly
-    the nodes either exchange disturbs. Same [commit] contract; raises
-    [Invalid_argument] (session state untouched) on deadlocking swaps. *)
-
 val reevaluate_any :
   ?commit:bool -> ?max_cone:int -> session -> Sched.Neighbor.any -> evaluation
-(** Dispatch on either move class. *)
+(** Evaluation of the neighbor [Sched.Neighbor.apply_any sched m] of the
+    pinned schedule, recomputing only the dirty cone when the backend
+    allows it. The cone is seeded from the moved task of a reassignment,
+    or from both tasks of a swap. [commit] (default true) advances the
+    session to the neighbor; [commit:false] evaluates and restores the
+    previous state, so many neighbors can be probed off one base
+    schedule. Raises [Invalid_argument] if the move would deadlock the
+    eager execution (session state is untouched in that case). *)
 
 (** {1 Cached views}
 
@@ -164,12 +143,12 @@ type stats = {
   task_misses : int;  (** filled (task, proc) duration cells *)
   comm_hits : int;
   comm_misses : int;  (** distinct communication weights built *)
-  evals : int;  (** total [eval]/[analyze]/[reevaluate] calls *)
+  evals : int;  (** total [eval]/[analyze]/[reevaluate_any] calls *)
   evals_classical : int;
   evals_dodin : int;
   evals_spelde : int;
   evals_montecarlo : int;
-  reevals : int;  (** total {!reevaluate} calls *)
+  reevals : int;  (** total {!reevaluate_any} calls *)
   reeval_incremental : int;  (** served by a dirty-cone replay *)
   reeval_full : int;
       (** fell back to a full sweep; always

@@ -12,7 +12,7 @@ let realizations ?domains ?(chunk_size = 256) ?(antithetic = false) ~rng ~count 
   if count <= 0 then invalid_arg "Montecarlo: count must be positive";
   if chunk_size <= 0 then invalid_arg "Montecarlo: chunk_size must be positive";
   let instrumented = Obs.Metrics.enabled () in
-  let t_start = if instrumented then Unix.gettimeofday () else 0. in
+  let t_start = if instrumented then Obs.Clock.now_us () else 0. in
   let count = if antithetic && count mod 2 = 1 then count + 1 else count in
   let chunk_size = if antithetic && chunk_size mod 2 = 1 then chunk_size + 1 else chunk_size in
   let plan = Sched.Simulator.prepare sched in
@@ -103,7 +103,7 @@ let realizations ?domains ?(chunk_size = 256) ?(antithetic = false) ~rng ~count 
   if Obs.Span.enabled () then Obs.Span.with_ ~name:"montecarlo.run" run_chunks
   else run_chunks ();
   if instrumented then begin
-    let us = (Unix.gettimeofday () -. t_start) *. 1e6 in
+    let us = Obs.Clock.now_us () -. t_start in
     Obs.Metrics.add m_samples count;
     Obs.Metrics.add m_elapsed_us (int_of_float us);
     let samples = Atomic.fetch_and_add total_samples count + count in

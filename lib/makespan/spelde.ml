@@ -43,20 +43,3 @@ let moments_with ~dgraph ?completion
     (update_node ~dgraph ~task_moments ~comm_moments sched completion)
     (Dag.Graph.topo_order dgraph);
   moments_of_exits ~dgraph completion
-
-let moments sched platform model =
-  let dgraph = Sched.Disjunctive.graph_of sched in
-  moments_with ~dgraph
-    ~task_moments:(fun ~task ~proc ->
-      Distribution.Normal_pair.make
-        ~mean:(Workloads.Stochastify.task_mean model platform ~task ~proc)
-        ~std:(Workloads.Stochastify.task_std model platform ~task ~proc))
-    ~comm_moments:(fun ~volume ~src ~dst ->
-      Distribution.Normal_pair.make
-        ~mean:(Workloads.Stochastify.comm_mean model platform ~volume ~src ~dst)
-        ~std:(Workloads.Stochastify.comm_std model platform ~volume ~src ~dst))
-    sched
-
-let run sched platform model =
-  Distribution.Normal_pair.to_normal ~points:model.Workloads.Stochastify.points
-    (moments sched platform model)

@@ -13,7 +13,7 @@ val update_node :
   unit
 (** Recompute one node's completion moments in place from its
     predecessors' entries — the single-node body of {!moments_with},
-    exposed for {!Engine.reevaluate}'s dirty-cone replay (same
+    exposed for {!Engine.reevaluate_any}'s dirty-cone replay (same
     [List.map]/[max_list] fold order, so results stay bitwise equal). *)
 
 val moments_of_exits :
@@ -28,13 +28,7 @@ val moments_with :
   Sched.Schedule.t ->
   Distribution.Normal_pair.t
 (** The moment propagation with injected duration/communication views —
-    the shared core behind {!moments} and the cached {!Engine} path.
+    the [Spelde] backend of {!Engine.eval}, which feeds it the engine's
+    moment tables and turns the result into a normal grid.
     [dgraph] must be the schedule's disjunctive graph; [?completion] is
     optional caller-owned scratch (reused when long enough). *)
-
-val moments : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> Distribution.Normal_pair.t
-(** Mean and standard deviation of the makespan estimate. *)
-
-val run : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> Distribution.Dist.t
-(** The matching normal as a grid distribution (for metric extraction and
-    CDF comparisons). *)

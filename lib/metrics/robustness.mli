@@ -35,7 +35,7 @@ val compute :
 val of_engine :
   ?delta:float ->
   ?gamma:float ->
-  ?method_:[ `Classical | `Dodin | `Spelde ] ->
+  ?backend:Makespan.Engine.backend ->
   ?slack_mode:Sched.Slack.graph_mode ->
   Makespan.Engine.t ->
   Sched.Schedule.t ->
@@ -49,14 +49,14 @@ val of_engine :
 val of_schedule :
   ?delta:float ->
   ?gamma:float ->
-  ?method_:[ `Classical | `Dodin | `Spelde ] ->
+  ?backend:Makespan.Engine.backend ->
   ?slack_mode:Sched.Slack.graph_mode ->
   Sched.Schedule.t ->
   Platform.t ->
   Workloads.Stochastify.t ->
   t
 (** End-to-end convenience: a one-shot engine around {!of_engine}
-    (default method [`Classical], the paper's choice; default slack
+    (default backend [Classical], the paper's choice; default slack
     [`Disjunctive]). *)
 
 val to_array : t -> float array

@@ -30,27 +30,6 @@ let direct_into ~out a n b m =
       done
   done
 
-(* Unboxed tier: the same direct kernel over [floatarray] prefixes.
-   [floatarray] is guaranteed flat unboxed storage with no per-element
-   tag dispatch, so flambda can keep the inner multiply–add loop in
-   registers and vectorize it. The accumulation order is IDENTICAL to
-   [direct_into] (i-outer, j-inner, zero-skip on [ai]), so results are
-   bit-for-bit equal to the boxed kernel — callers may switch tiers
-   freely without perturbing reproducible outputs. *)
-let direct_into_fa ~out a n b m =
-  if n = 0 || m = 0 then invalid_arg "Convolution.direct: empty input";
-  if Float.Array.length a < n || Float.Array.length b < m then
-    invalid_arg "Convolution.direct_into_fa: prefix longer than operand";
-  Float.Array.fill out 0 (n + m - 1) 0.;
-  for i = 0 to n - 1 do
-    let ai = Float.Array.unsafe_get a i in
-    if ai <> 0. then
-      for j = 0 to m - 1 do
-        Float.Array.unsafe_set out (i + j)
-          (Float.Array.unsafe_get out (i + j) +. (ai *. Float.Array.unsafe_get b j))
-      done
-  done
-
 (* Moment-space fast path for long convolution chains. After enough
    convolutions the partial sum is CLT-normal (the paper's Figs. 7–8:
    ≈5–10 convolutions already look normal), so past a depth threshold

@@ -21,12 +21,6 @@ val direct : float array -> float array -> float array
 val direct_into : out:float array -> float array -> int -> float array -> int -> unit
 (** [direct_into ~out a n b m] is {!direct} on prefixes, into [out]. *)
 
-val direct_into_fa :
-  out:floatarray -> floatarray -> int -> floatarray -> int -> unit
-(** {!direct_into} over unboxed [floatarray] prefixes — guaranteed flat
-    storage the optimizer can vectorize. Same accumulation order as the
-    boxed kernel, so results are bit-for-bit identical. *)
-
 (** Moment-space fast path for deep convolution chains: past a depth
     threshold the partial sum is replaced by its CLT normal (μ and σ²
     add), certified by the Berry–Esseen inequality

@@ -11,7 +11,7 @@ type t = {
   label : string;
   total : int;
   ticks : int Atomic.t;
-  started : float; (* seconds *)
+  started : float; (* monotonic seconds *)
   last_print : float Atomic.t;
   every : float;
 }
@@ -21,14 +21,14 @@ let create ?(every = 0.5) ~total label =
     label;
     total;
     ticks = Atomic.make 0;
-    started = Unix.gettimeofday ();
+    started = Clock.now_s ();
     last_print = Atomic.make 0.;
     every;
   }
 
 let print_line t ~final =
   let done_ = Atomic.get t.ticks in
-  let elapsed = Unix.gettimeofday () -. t.started in
+  let elapsed = Clock.now_s () -. t.started in
   let rate = if elapsed > 0. then float_of_int done_ /. elapsed else 0. in
   let eta =
     if rate > 0. && t.total > done_ then float_of_int (t.total - done_) /. rate else 0.
@@ -42,7 +42,7 @@ let print_line t ~final =
 let tick ?(n = 1) t =
   if Atomic.get enabled_flag then begin
     ignore (Atomic.fetch_and_add t.ticks n);
-    let now = Unix.gettimeofday () in
+    let now = Clock.now_s () in
     let last = Atomic.get t.last_print in
     if now -. last >= t.every && Atomic.compare_and_set t.last_print last now then
       print_line t ~final:false
@@ -75,9 +75,9 @@ let phase name f =
     (* quick_stat.minor_words lags until the next minor collection;
        Gc.minor_words reads the allocation pointer exactly *)
     let mw0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     let finish () =
-      let elapsed_s = Unix.gettimeofday () -. t0 in
+      let elapsed_s = Clock.now_s () -. t0 in
       let g1 = Gc.quick_stat () in
       let r =
         {

@@ -51,9 +51,9 @@ let drain job slot =
             drain, workers re-park, the caller gets the exception *)
          Fault.cut "pool.chunk";
          if job.instrumented then begin
-           let t0 = Unix.gettimeofday () in
+           let t0 = Obs.Clock.now_s () in
            Obs.Span.with_ ~name:"pool.chunk" (fun () -> job.f c);
-           job.busy.(slot) <- job.busy.(slot) +. (Unix.gettimeofday () -. t0);
+           job.busy.(slot) <- job.busy.(slot) +. (Obs.Clock.now_s () -. t0);
            job.count.(slot) <- job.count.(slot) + 1
          end
          else job.f c

@@ -1,8 +1,8 @@
 (* Single-move neighborhood over schedules: reassign one task to a
-   (processor, position). This is the move type shared by the bench
-   reeval probes, the service's neighbor fast path, and the (future)
-   robustness-aware local search — [Engine.reevaluate] consumes exactly
-   one of these per step. *)
+   (processor, position), or swap two tasks' slots. These are the moves
+   shared by the bench reeval probes, the service's neighbor fast path,
+   and the robustness-aware local search — [Engine.reevaluate_any]
+   consumes exactly one [any] per step. *)
 
 type move = {
   task : int;

@@ -1,7 +1,7 @@
 (* Simulated annealing / stochastic local search over schedules
    (DESIGN.md §17). The hot loop probes one-task reassigns and task
    swaps through a single incremental engine session
-   ([Engine.reevaluate_* ~commit:false]) and replays the move with
+   ([Engine.reevaluate_any ~commit:false]) and replays the move with
    [commit:true] only on acceptance, so the expensive path is paid twice
    only for the accepted minority. Priority-perturbation moves rebuild a
    schedule through the list-scheduler driver with a jittered rank table

@@ -1,50 +1,94 @@
-(* The unified evaluation engine: equivalence with the legacy
-   per-schedule paths, cache behaviour, slack sharing, thread safety, and
+(* The unified evaluation engine: bitwise equivalence with an uncached
+   reference evaluation, cache behaviour, slack sharing, thread safety, and
    the Runner's pilot-calibration fallback. *)
 
 let check_close = Tutil.check_close
-let check_close_abs = Tutil.check_close_abs
 
 let model11 = Workloads.Stochastify.make ~ul:1.1 ()
 
 let engine_of (graph, platform) =
   Makespan.Engine.create ~graph ~platform ~model:model11
 
-(* mean/std plus the CDF on a probe grid spanning both supports *)
-let check_dists_equal name a b =
-  check_close (name ^ " mean") (Distribution.Dist.mean a) (Distribution.Dist.mean b);
-  check_close (name ^ " std") (Distribution.Dist.std a) (Distribution.Dist.std b);
-  let lo1, hi1 = Distribution.Dist.support a in
-  let lo2, hi2 = Distribution.Dist.support b in
-  let lo = Float.min lo1 lo2 and hi = Float.max hi1 hi2 in
-  for i = 0 to 8 do
-    let x = lo +. ((hi -. lo) *. float_of_int i /. 8.) in
-    check_close_abs
-      (Printf.sprintf "%s cdf@%.3f" name x)
-      (Distribution.Dist.cdf_at a x)
-      (Distribution.Dist.cdf_at b x)
-  done
+(* --- bitwise agreement with an uncached reference --- *)
 
-(* --- per-method equivalence on seeded random cases --- *)
+let bits = Int64.bits_of_float
+
+let dist_bits_equal name a b =
+  let (la, ha), (lb, hb) = (Distribution.Dist.support a, Distribution.Dist.support b) in
+  if bits la <> bits lb || bits ha <> bits hb then
+    Alcotest.failf "%s: support [%h, %h] <> [%h, %h]" name la ha lb hb;
+  let xa, pa = Distribution.Dist.to_arrays a in
+  let xb, pb = Distribution.Dist.to_arrays b in
+  if Array.length xa <> Array.length xb then
+    Alcotest.failf "%s: grid sizes differ (%d vs %d)" name (Array.length xa)
+      (Array.length xb);
+  Array.iteri
+    (fun i x ->
+      if bits x <> bits xb.(i) then Alcotest.failf "%s: x[%d] %h <> %h" name i x xb.(i))
+    xa;
+  Array.iteri
+    (fun i p ->
+      if bits p <> bits pb.(i) then Alcotest.failf "%s: pdf[%d] %h <> %h" name i p pb.(i))
+    pa
+
+(* The legacy uncached evaluation, kept here as the engine's oracle: the
+   same backend cores ([Classic], [Dodin], [Spelde]) fed by direct
+   [Workloads.Stochastify] lookups instead of the engine's memo tables,
+   with a pluggable maximum for the classical sweep. *)
+let indep ~points a b = Distribution.Dist.max_indep ~points a b
+let comonotone ~points a b = Distribution.Dist.max_comonotone ~points a b
+
+let legacy ?(max = indep) backend sched platform model =
+  let module S = Workloads.Stochastify in
+  let points = model.S.points in
+  let dgraph = Sched.Disjunctive.graph_of sched in
+  let task_dist ~task ~proc = S.task_dist model platform ~task ~proc in
+  let comm_dist ~volume ~src ~dst = S.comm_dist model platform ~volume ~src ~dst in
+  match backend with
+  | Makespan.Engine.Classical ->
+    Makespan.Classic.completion_dists_with ~max ~points ~dgraph ~task_dist ~comm_dist sched
+    |> Makespan.Classic.makespan_of_exits ~max ~points dgraph
+  | Makespan.Engine.Dodin ->
+    (Makespan.Dodin.evaluate_with ~points ~dgraph ~task_dist ~comm_dist sched)
+      .Makespan.Dodin.dist
+  | Makespan.Engine.Spelde ->
+    Distribution.Normal_pair.to_normal ~points
+      (Makespan.Spelde.moments_with ~dgraph
+         ~task_moments:(fun ~task ~proc ->
+           Distribution.Normal_pair.make
+             ~mean:(S.task_mean model platform ~task ~proc)
+             ~std:(S.task_std model platform ~task ~proc))
+         ~comm_moments:(fun ~volume ~src ~dst ->
+           Distribution.Normal_pair.make
+             ~mean:(S.comm_mean model platform ~volume ~src ~dst)
+             ~std:(S.comm_std model platform ~volume ~src ~dst))
+         sched)
+  | Makespan.Engine.Montecarlo _ -> invalid_arg "legacy: analytic backends only"
 
 let equivalence_tests =
   List.map
-    (fun method_ ->
-      let name = Makespan.Eval.method_name method_ in
+    (fun backend ->
+      let name = Makespan.Engine.backend_name backend in
       Tutil.qcheck ~count:60
         (Printf.sprintf "engine %s == legacy %s" name name)
         Tutil.random_scheduled_gen
         (fun (graph, platform, sched) ->
-          let legacy = Makespan.Eval.distribution ~method_ sched platform model11 in
           let engine = engine_of (graph, platform) in
-          let cached =
-            Makespan.Engine.eval
-              ~backend:(Makespan.Engine.backend_of_method method_)
-              engine sched
-          in
-          check_dists_equal name legacy cached;
+          dist_bits_equal name
+            (legacy backend sched platform model11)
+            (Makespan.Engine.eval ~backend engine sched);
           true))
-    Makespan.Eval.all_methods
+    Makespan.Engine.[ Classical; Dodin; Spelde ]
+
+let bounds_match_legacy =
+  Tutil.qcheck ~count:30 "bounds == legacy comonotone/independent sweeps"
+    Tutil.random_scheduled_gen
+    (fun (graph, platform, sched) ->
+      let b = Makespan.Bounds.run (engine_of (graph, platform)) sched in
+      let classical ?max () = legacy ?max Makespan.Engine.Classical sched platform model11 in
+      dist_bits_equal "lower" (classical ~max:comonotone ()) b.Makespan.Bounds.lower;
+      dist_bits_equal "upper" (classical ()) b.Makespan.Bounds.upper;
+      true)
 
 let montecarlo_backend_matches_legacy () =
   let rng = Tutil.rng_of_seed 5 in
@@ -65,8 +109,8 @@ let montecarlo_backend_matches_legacy () =
   let backend = Makespan.Engine.Montecarlo { count; seed } in
   let a = Makespan.Engine.eval ~backend engine sched in
   let b = Makespan.Engine.eval ~backend engine sched in
-  check_dists_equal "mc engine vs legacy" legacy a;
-  check_dists_equal "mc deterministic" a b
+  dist_bits_equal "mc engine vs legacy" legacy a;
+  dist_bits_equal "mc deterministic" a b
 
 (* --- cache behaviour --- *)
 
@@ -129,9 +173,9 @@ let of_engine_matches_of_schedule () =
   List.iter
     (fun sched ->
       List.iter
-        (fun method_ ->
-          let a = Metrics.Robustness.of_engine ~method_ engine sched in
-          let b = Metrics.Robustness.of_schedule ~method_ sched platform model11 in
+        (fun backend ->
+          let a = Metrics.Robustness.of_engine ~backend engine sched in
+          let b = Metrics.Robustness.of_schedule ~backend sched platform model11 in
           Array.iteri
             (fun i expected ->
               check_close
@@ -139,7 +183,7 @@ let of_engine_matches_of_schedule () =
                 expected
                 (Metrics.Robustness.to_array a).(i))
             (Metrics.Robustness.to_array b))
-        [ `Classical; `Dodin; `Spelde ])
+        Makespan.Engine.[ Classical; Dodin; Spelde ])
     [ s1; s2 ]
 
 let analyze_slack_matches_compute () =
@@ -178,29 +222,12 @@ let parallel_sweep_matches_sequential () =
   in
   Array.iteri
     (fun i (mu, sigma) ->
-      let d = Makespan.Classic.run scheds.(i) platform model11 in
+      let d = legacy Makespan.Engine.Classical scheds.(i) platform model11 in
       check_close (Printf.sprintf "parallel mean %d" i) (Distribution.Dist.mean d) mu;
       check_close (Printf.sprintf "parallel std %d" i) (Distribution.Dist.std d) sigma)
     parallel
 
 (* --- incremental re-evaluation --- *)
-
-let bits = Int64.bits_of_float
-
-let dist_bits_equal name a b =
-  let xa, pa = Distribution.Dist.to_arrays a in
-  let xb, pb = Distribution.Dist.to_arrays b in
-  if Array.length xa <> Array.length xb then
-    Alcotest.failf "%s: grid sizes differ (%d vs %d)" name (Array.length xa)
-      (Array.length xb);
-  Array.iteri
-    (fun i x ->
-      if bits x <> bits xb.(i) then Alcotest.failf "%s: x[%d] %h <> %h" name i x xb.(i))
-    xa;
-  Array.iteri
-    (fun i p ->
-      if bits p <> bits pb.(i) then Alcotest.failf "%s: pdf[%d] %h <> %h" name i p pb.(i))
-    pa
 
 let slack_bits_equal name (a : Sched.Slack.summary) (b : Sched.Slack.summary) =
   if
@@ -218,7 +245,7 @@ let eval_bits_equal name (a : Makespan.Engine.evaluation) (b : Makespan.Engine.e
   dist_bits_equal (name ^ " makespan") a.Makespan.Engine.makespan b.Makespan.Engine.makespan;
   slack_bits_equal name a.Makespan.Engine.slack b.Makespan.Engine.slack
 
-(* The tentpole property: a session's [reevaluate] must agree BITWISE
+(* The tentpole property: a session's [reevaluate_any] must agree BITWISE
    with a fresh full [analyze] of the patched schedule, over a long
    random walk of committed single moves — including moves that grow or
    shrink the disjunctive graph, explicit no-op (same proc, same
@@ -250,7 +277,9 @@ let reevaluate_walk backend steps () =
     (* probe without committing, then verify the session still serves
        the base schedule's bits *)
     if step mod 7 = 0 then begin
-      let probe = Makespan.Engine.reevaluate_move ~commit:false session m in
+      let probe =
+        Makespan.Engine.reevaluate_any ~commit:false session (Sched.Neighbor.Reassign m)
+      in
       eval_bits_equal
         (Printf.sprintf "step %d probe" step)
         (Makespan.Engine.analyze ~backend engine (Sched.Neighbor.apply !sched m))
@@ -260,7 +289,7 @@ let reevaluate_walk backend steps () =
         (Makespan.Engine.analyze ~backend engine !sched)
         (Makespan.Engine.session_evaluation session)
     end;
-    let ev = Makespan.Engine.reevaluate_move session m in
+    let ev = Makespan.Engine.reevaluate_any session (Sched.Neighbor.Reassign m) in
     sched := Sched.Neighbor.apply !sched m;
     eval_bits_equal
       (Printf.sprintf "step %d (%s)" step (Sched.Neighbor.to_string m))
@@ -285,7 +314,7 @@ let cutoff_forces_full_fallback () =
   let session = Makespan.Engine.start_session engine s1 in
   let rng = Tutil.rng_of_seed 19 in
   let m = Sched.Neighbor.random ~rng s1 in
-  let ev = Makespan.Engine.reevaluate_move ~max_cone:0 session m in
+  let ev = Makespan.Engine.reevaluate_any ~max_cone:0 session (Sched.Neighbor.Reassign m) in
   eval_bits_equal "cutoff fallback bits"
     (Makespan.Engine.analyze engine (Sched.Neighbor.apply s1 m))
     ev;
@@ -298,10 +327,9 @@ let reset_stats_clears_reeval_counters () =
   let engine = engine_of (graph, platform) in
   let session = Makespan.Engine.start_session engine s1 in
   let rng = Tutil.rng_of_seed 23 in
-  ignore (Makespan.Engine.reevaluate_move ~commit:false session (Sched.Neighbor.random ~rng s1));
-  ignore
-    (Makespan.Engine.reevaluate_move ~commit:false ~max_cone:0 session
-       (Sched.Neighbor.random ~rng s1));
+  let random_move () = Sched.Neighbor.Reassign (Sched.Neighbor.random ~rng s1) in
+  ignore (Makespan.Engine.reevaluate_any ~commit:false session (random_move ()));
+  ignore (Makespan.Engine.reevaluate_any ~commit:false ~max_cone:0 session (random_move ()));
   let st = Makespan.Engine.stats engine in
   Alcotest.(check bool) "reevals counted before reset" true (st.Makespan.Engine.reevals = 2);
   Alcotest.(check bool) "cone nodes accumulated" true
@@ -326,10 +354,11 @@ let reeval_allocation_bound () =
   let sched = Sched.Random_sched.generate ~rng ~graph ~n_procs:8 in
   let session = Makespan.Engine.start_session engine sched in
   let exits = Dag.Graph.exits graph in
-  let moved = exits.(Array.length exits - 1) in
-  let to_ = (sched.Sched.Schedule.proc_of.(moved) + 1) mod 8 in
+  let task = exits.(Array.length exits - 1) in
+  let to_ = (sched.Sched.Schedule.proc_of.(task) + 1) mod 8 in
+  let move = Sched.Neighbor.Reassign (Sched.Neighbor.make ~task ~to_ ()) in
   (* warm both paths (duration/comm caches, scratch growth) *)
-  ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_);
+  ignore (Makespan.Engine.reevaluate_any ~commit:false session move);
   ignore (Makespan.Engine.analyze engine sched);
   let iters = 5 in
   let words_of f =
@@ -340,8 +369,7 @@ let reeval_allocation_bound () =
     (Gc.minor_words () -. before) /. float_of_int iters
   in
   let reeval_words =
-    words_of (fun () ->
-        ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_))
+    words_of (fun () -> ignore (Makespan.Engine.reevaluate_any ~commit:false session move))
   in
   let full_words = words_of (fun () -> ignore (Makespan.Engine.analyze engine sched)) in
   Alcotest.(check bool) "probe served incrementally" true
@@ -380,6 +408,7 @@ let () =
       ( "equivalence",
         equivalence_tests
         @ [
+            bounds_match_legacy;
             Alcotest.test_case "montecarlo backend" `Slow montecarlo_backend_matches_legacy;
           ] );
       ( "caching",

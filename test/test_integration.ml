@@ -36,10 +36,11 @@ let three_methods_consistent () =
   in
   let model = Core.Uncertainty.make ~ul:1.1 () in
   let sched = Core.Heuristics.bmct graph platform in
+  let engine = Core.Engine.create ~graph ~platform ~model in
   let means =
     List.map
-      (fun m -> Core.Dist.mean (Core.Makespan_eval.distribution ~method_:m sched platform model))
-      Core.Makespan_eval.all_methods
+      (fun backend -> Core.Dist.mean (Core.Engine.eval ~backend engine sched))
+      Core.Engine.[ Classical; Dodin; Spelde ]
   in
   match means with
   | [ classical; dodin; spelde ] ->

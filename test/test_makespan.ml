@@ -25,7 +25,7 @@ let classic_chain_is_sum () =
   let n = 10 and w = 20. in
   let s = chain_schedule n in
   let p = flat_platform ~n_tasks:n ~n_procs:1 ~w ~tau:0. in
-  let d = Makespan.Classic.run s p model11 in
+  let d = Tutil.eval s p model11 in
   let one = Workloads.Stochastify.dist model11 w in
   let mean1 = Distribution.Dist.mean one and var1 = Distribution.Dist.variance one in
   check_close ~eps:1e-3 "mean" (float_of_int n *. mean1) (Distribution.Dist.mean d);
@@ -41,7 +41,7 @@ let classic_parallel_is_max () =
     Array.init n (fun q -> if q = 0 then [| 0; n |] else [| q |])
   in
   let s = Sched.Schedule.make ~graph:g ~n_procs:n ~proc_of ~order in
-  let d = Makespan.Classic.run s p model11 in
+  let d = Tutil.eval s p model11 in
   let one = Workloads.Stochastify.dist model11 w in
   let want =
     Distribution.Dist.add
@@ -54,7 +54,7 @@ let classic_parallel_is_max () =
 let classic_deterministic_model_gives_const () =
   let s = chain_schedule 5 in
   let p = flat_platform ~n_tasks:5 ~n_procs:1 ~w:10. ~tau:0. in
-  let d = Makespan.Classic.run s p Workloads.Stochastify.deterministic in
+  let d = Tutil.eval s p Workloads.Stochastify.deterministic in
   Alcotest.(check bool) "const" true (Distribution.Dist.is_const d);
   check_close "value" 50. (Distribution.Dist.mean d)
 
@@ -65,7 +65,7 @@ let classic_support_bounds =
       let ul = 1.2 in
       let model = Workloads.Stochastify.make ~ul () in
       let det = (Sched.Simulator.deterministic sched platform).Sched.Simulator.makespan in
-      let d = Makespan.Classic.run sched platform model in
+      let d = Tutil.eval sched platform model in
       let lo, hi = Distribution.Dist.support d in
       (* trimming may cut 1e-9 tails; allow a whisker *)
       lo >= det -. (0.01 *. det) && hi <= (det *. ul) +. (0.01 *. det))
@@ -99,7 +99,7 @@ let montecarlo_matches_classic_moments () =
   let rng = Tutil.rng_of_seed 5 in
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:3 () in
   let s = Sched.Heft.schedule g p in
-  let d = Makespan.Classic.run s p model11 in
+  let d = Tutil.eval s p model11 in
   let e = Makespan.Montecarlo.run ~rng ~count:30000 s p model11 in
   check_close ~eps:2e-3 "mean" (Distribution.Empirical.mean e) (Distribution.Dist.mean d);
   check_close ~eps:5e-2 "std" (Distribution.Empirical.std e) (Distribution.Dist.std d)
@@ -116,7 +116,7 @@ let montecarlo_ks_small_on_tree () =
       ~proc_of:(Array.init 7 Fun.id)
       ~order:(Array.init 7 (fun q -> [| q |]))
   in
-  let d = Makespan.Classic.run s p model11 in
+  let d = Tutil.eval s p model11 in
   let e = Makespan.Montecarlo.run ~rng ~count:20000 s p model11 in
   let ks = Stats.Distance.ks (Analytic d) (Sampled e) in
   Alcotest.(check bool) "small ks" true (ks < 0.03)
@@ -170,7 +170,7 @@ let spelde_chain_exact_moments () =
   let n = 10 and w = 20. in
   let s = chain_schedule n in
   let p = flat_platform ~n_tasks:n ~n_procs:1 ~w ~tau:0. in
-  let m = Makespan.Spelde.moments s p model11 in
+  let m = Tutil.spelde_moments s p model11 in
   check_close ~eps:1e-9 "mean"
     (float_of_int n *. Workloads.Stochastify.mean model11 w)
     m.Distribution.Normal_pair.mean;
@@ -182,8 +182,8 @@ let spelde_close_to_classic =
   Tutil.qcheck ~count:20 "Spelde moments track classical moments"
     Tutil.random_scheduled_gen
     (fun (_, platform, sched) ->
-      let m = Makespan.Spelde.moments sched platform model11 in
-      let d = Makespan.Classic.run sched platform model11 in
+      let m = Tutil.spelde_moments sched platform model11 in
+      let d = Tutil.eval sched platform model11 in
       match Distribution.Dist.is_const d with
       | true -> true
       | false ->
@@ -195,15 +195,15 @@ let spelde_close_to_classic =
 let dodin_chain_no_duplication () =
   let s = chain_schedule 6 in
   let p = flat_platform ~n_tasks:6 ~n_procs:1 ~w:10. ~tau:0. in
-  let o = Makespan.Dodin.evaluate s p model11 in
+  let o = Tutil.dodin_outcome s p model11 in
   Alcotest.(check int) "chain is SP" 0 o.Makespan.Dodin.duplications
 
 let dodin_matches_classic_on_sp () =
   (* fork-join on one processor is series–parallel after serialization *)
   let s = chain_schedule 8 in
   let p = flat_platform ~n_tasks:8 ~n_procs:1 ~w:10. ~tau:0. in
-  let a = Makespan.Dodin.run s p model11 in
-  let b = Makespan.Classic.run s p model11 in
+  let a = Tutil.eval ~backend:Makespan.Engine.Dodin s p model11 in
+  let b = Tutil.eval s p model11 in
   check_close ~eps:1e-3 "mean" (Distribution.Dist.mean b) (Distribution.Dist.mean a);
   check_close ~eps:2e-2 "std" (Distribution.Dist.std b) (Distribution.Dist.std a)
 
@@ -211,7 +211,7 @@ let dodin_duplications_iff_not_sp =
   Tutil.qcheck ~count:30 "Dodin duplicates iff the disjunctive network is not SP"
     Tutil.random_scheduled_gen
     (fun (_, platform, sched) ->
-      let o = Makespan.Dodin.evaluate sched platform model11 in
+      let o = Tutil.dodin_outcome sched platform model11 in
       let dgraph = Sched.Disjunctive.graph_of sched in
       let network =
         Dag.Series_parallel.of_task_dag dgraph
@@ -226,8 +226,8 @@ let dodin_close_to_classic_general =
   Tutil.qcheck ~count:15 "Dodin ≈ classical on random schedules"
     Tutil.random_scheduled_gen
     (fun (_, platform, sched) ->
-      let a = Makespan.Dodin.run sched platform model11 in
-      let b = Makespan.Classic.run sched platform model11 in
+      let a = Tutil.eval ~backend:Makespan.Engine.Dodin sched platform model11 in
+      let b = Tutil.eval sched platform model11 in
       match (Distribution.Dist.is_const a, Distribution.Dist.is_const b) with
       | true, true -> true
       | false, false ->
@@ -244,7 +244,7 @@ let bounds_bracket_montecarlo () =
   let rng = Tutil.rng_of_seed 14 in
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:3 () in
   let s = Sched.Random_sched.generate ~rng ~graph:g ~n_procs:3 in
-  let b = Makespan.Bounds.run s p model11 in
+  let b = Makespan.Bounds.run (Tutil.engine_for s p model11) s in
   let e = Makespan.Montecarlo.run ~rng ~count:20000 s p model11 in
   Alcotest.(check bool) "mc enclosed" true
     (Makespan.Bounds.enclose b (Distribution.Empirical.to_dist ~points:128 e));
@@ -256,8 +256,8 @@ let bounds_bracket_montecarlo () =
 let bounds_upper_is_classical () =
   let s = chain_schedule 5 in
   let p = flat_platform ~n_tasks:5 ~n_procs:1 ~w:10. ~tau:0. in
-  let b = Makespan.Bounds.run s p model11 in
-  let c = Makespan.Classic.run s p model11 in
+  let b = Makespan.Bounds.run (Tutil.engine_for s p model11) s in
+  let c = Tutil.eval s p model11 in
   check_close ~eps:1e-6 "same mean" (Distribution.Dist.mean c)
     (Distribution.Dist.mean b.Makespan.Bounds.upper)
 
@@ -265,7 +265,7 @@ let bounds_coincide_on_chain () =
   (* a chain has no maxima: both bounds equal the exact sum *)
   let s = chain_schedule 5 in
   let p = flat_platform ~n_tasks:5 ~n_procs:1 ~w:10. ~tau:0. in
-  let b = Makespan.Bounds.run s p model11 in
+  let b = Makespan.Bounds.run (Tutil.engine_for s p model11) s in
   check_close ~eps:1e-3 "means equal"
     (Distribution.Dist.mean b.Makespan.Bounds.lower)
     (Distribution.Dist.mean b.Makespan.Bounds.upper);
@@ -273,7 +273,9 @@ let bounds_coincide_on_chain () =
     (Distribution.Dist.std b.Makespan.Bounds.lower)
     (Distribution.Dist.std b.Makespan.Bounds.upper)
 
-(* --- Eval umbrella --- *)
+(* --- Backend dispatch through Engine.eval --- *)
+
+let backends = Makespan.Engine.[ Classical; Dodin; Spelde ]
 
 let eval_dispatches () =
   let g = Workloads.Cholesky.generate ~tiles:3 () in
@@ -281,30 +283,32 @@ let eval_dispatches () =
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:2 () in
   let s = Sched.Heft.schedule g p in
   List.iter
-    (fun m ->
-      let d = Makespan.Eval.distribution ~method_:m s p model11 in
+    (fun backend ->
+      let d = Tutil.eval ~backend s p model11 in
       Alcotest.(check bool)
-        (Makespan.Eval.method_name m ^ " positive mean")
+        (Makespan.Engine.backend_name backend ^ " positive mean")
         true
         (Distribution.Dist.mean d > 0.))
-    Makespan.Eval.all_methods
+    backends
 
 let eval_method_names () =
   Alcotest.(check (list string)) "names" [ "classical"; "dodin"; "spelde" ]
-    (List.map Makespan.Eval.method_name Makespan.Eval.all_methods)
+    (List.map Makespan.Engine.backend_name backends)
 
 let compare_methods_reports_all () =
   let g = Workloads.Cholesky.generate ~tiles:3 () in
   let rng = Tutil.rng_of_seed 9 in
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:2 () in
   let s = Sched.Heft.schedule g p in
-  let rows = Makespan.Eval.compare_methods ~rng ~mc_count:3000 s p model11 in
-  Alcotest.(check int) "three rows" 3 (List.length rows);
+  let emp = Makespan.Montecarlo.run ~rng ~count:3000 s p model11 in
   List.iter
-    (fun (_, ks, cm) ->
+    (fun backend ->
+      let d = Tutil.eval ~backend s p model11 in
+      let ks = Stats.Distance.ks (Analytic d) (Sampled emp) in
+      let cm = Stats.Distance.cm_area (Analytic d) (Sampled emp) in
       Alcotest.(check bool) "ks in [0,1]" true (ks >= 0. && ks <= 1.);
       Alcotest.(check bool) "cm >= 0" true (cm >= 0.))
-    rows
+    backends
 
 let () =
   let tc = Alcotest.test_case in

@@ -64,8 +64,8 @@ let of_schedule_methods_agree () =
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:2 () in
   let model = Workloads.Stochastify.make ~ul:1.1 () in
   let s = Sched.Heft.schedule g p in
-  let a = Metrics.Robustness.of_schedule ~method_:`Classical s p model in
-  let b = Metrics.Robustness.of_schedule ~method_:`Spelde s p model in
+  let a = Metrics.Robustness.of_schedule ~backend:Makespan.Engine.Classical s p model in
+  let b = Metrics.Robustness.of_schedule ~backend:Makespan.Engine.Spelde s p model in
   check_close ~eps:5e-3 "means agree" a.Metrics.Robustness.expected_makespan
     b.Metrics.Robustness.expected_makespan;
   (* slack identical regardless of distribution method *)
@@ -175,10 +175,11 @@ let extended_join_the_cluster () =
   let platform = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:3 () in
   let model = Workloads.Stochastify.make ~ul:1.1 () in
   let scheds = Sched.Random_sched.generate_many ~rng ~graph ~n_procs:3 ~count:60 in
+  let engine = Makespan.Engine.create ~graph ~platform ~model in
   let rows =
     List.map
       (fun s ->
-        let d = Makespan.Classic.run s platform model in
+        let d = Makespan.Engine.eval engine s in
         (Distribution.Dist.std d, Metrics.Extended.compute d))
       scheds
   in

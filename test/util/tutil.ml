@@ -51,3 +51,34 @@ let random_scheduled_gen =
   let sched = Sched.Random_sched.generate ~rng ~graph ~n_procs in
   check_valid ~msg:"random_scheduled_gen" sched;
   return (graph, platform, sched)
+
+(* --- evaluation through a one-shot engine --- *)
+
+let engine_for sched platform model =
+  Makespan.Engine.create ~graph:sched.Sched.Schedule.graph ~platform ~model
+
+(* [Makespan.Engine.eval] of a schedule on a fresh engine of its case. *)
+let eval ?backend sched platform model =
+  Makespan.Engine.eval ?backend (engine_for sched platform model) sched
+
+(* The Spelde and Dodin cores over a one-shot engine's cached views, for
+   the by-products [Engine.eval] does not return: Spelde's (mean, std)
+   before it becomes a normal grid, and Dodin's duplication count. *)
+let spelde_moments sched platform model =
+  let engine = engine_for sched platform model in
+  Makespan.Spelde.moments_with ~dgraph:(Sched.Disjunctive.graph_of sched)
+    ~task_moments:(fun ~task ~proc ->
+      Distribution.Normal_pair.make
+        ~mean:(Makespan.Engine.task_mean engine ~task ~proc)
+        ~std:(Makespan.Engine.task_std engine ~task ~proc))
+    ~comm_moments:(fun ~volume ~src ~dst ->
+      Distribution.Normal_pair.make
+        ~mean:(Makespan.Engine.comm_mean engine ~volume ~src ~dst)
+        ~std:(Makespan.Engine.comm_std engine ~volume ~src ~dst))
+    sched
+
+let dodin_outcome sched platform model =
+  let engine = engine_for sched platform model in
+  Makespan.Dodin.evaluate_with ~points:model.Workloads.Stochastify.points
+    ~dgraph:(Sched.Disjunctive.graph_of sched) ~task_dist:(Makespan.Engine.task_dist engine)
+    ~comm_dist:(Makespan.Engine.comm_dist engine) sched
