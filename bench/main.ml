@@ -870,8 +870,8 @@ let write_sched_json results =
   Printf.printf "[wrote BENCH_sched.json]\n%!"
 
 (* BENCH_search.json: the stochastic-optimizer throughput record. The
-   headline is moves/sec through the full annealing loop (probes, commit
-   replays, frontier bookkeeping) on random30/p8; "incremental_pct" is
+   headline is moves/sec through the full annealing loop (probes,
+   adoptions, frontier bookkeeping) on random30/p8; "incremental_pct" is
    the share of all evaluation work served by dirty-cone replay during a
    deterministic 256-step run — the ≥ 80% acceptance bound applies to
    it. *)

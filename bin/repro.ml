@@ -827,13 +827,16 @@ let optimize_summary_json ~kind ~n ~procs ~ul ~case_seed ~spec ~(config : Search
   add
     "\"stats\":{\"steps\":%d,\"probes\":%d,\"accepted\":%d,\"infeasible\":%d,\
      \"priority_moves\":%d,\"restarts\":%d,\"reevals\":%d,\"reeval_incremental\":%d,\
-     \"reeval_full\":%d,\"full_evals\":%d,\"incremental_fraction\":%.17g},"
+     \"reeval_full\":%d,\"full_evals\":%d,\"incremental_fraction\":%.17g,\
+     \"priority_accepted\":%d,\"accepts\":%d,\"arrival_hits\":%d,\"arrival_misses\":%d},"
     stats.Search.Anneal.steps_done stats.Search.Anneal.probes stats.Search.Anneal.accepted
     stats.Search.Anneal.infeasible stats.Search.Anneal.priority_moves
     stats.Search.Anneal.restarts_done stats.Search.Anneal.reevals
     stats.Search.Anneal.reeval_incremental stats.Search.Anneal.reeval_full
     stats.Search.Anneal.full_evals
-    (Search.Anneal.incremental_fraction stats);
+    (Search.Anneal.incremental_fraction stats)
+    stats.Search.Anneal.priority_accepted stats.Search.Anneal.accepts
+    stats.Search.Anneal.arrival_hits stats.Search.Anneal.arrival_misses;
   add "\"verified_bitwise\":%b,\"interrupted\":%b,\"frontier_size\":%d}" verified
     outcome.Search.Anneal.interrupted
     (Search.Archive.size outcome.Search.Anneal.frontier);
@@ -915,6 +918,11 @@ let run_optimize ctx kind n procs ul spec =
       (100. *. Search.Anneal.incremental_fraction stats)
       stats.Search.Anneal.reevals stats.Search.Anneal.reeval_incremental
       stats.Search.Anneal.reeval_full stats.Search.Anneal.full_evals;
+    Printf.printf
+      "commits: %d accepted moves adopted without a replay, %d priority rebuilds swapped in; \
+       arrival memo: %d hits, %d misses\n"
+      stats.Search.Anneal.accepts stats.Search.Anneal.priority_accepted
+      stats.Search.Anneal.arrival_hits stats.Search.Anneal.arrival_misses;
     let best_eval = outcome.Search.Anneal.best_eval in
     Printf.printf "initial objective (%s): %.6f\n" config.Search.Anneal.init
       outcome.Search.Anneal.init_objective;

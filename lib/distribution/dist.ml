@@ -63,6 +63,15 @@ let retag d ~depth ~err =
   | Const _ -> d
   | Grid g -> if g.depth = depth && g.err = err then d else Grid { g with depth; err }
 
+(* The same value with empty lazy caches: shares the sampled arrays
+   (never mutated after construction) and chain metadata; a spline,
+   atom table or ρ₃ built on the view stays on the view. *)
+let without_caches = function
+  | Const _ as d -> d
+  | Grid g ->
+    Grid
+      { g with spline = Atomic.make None; atoms = Atomic.make None; rho3 = Atomic.make None }
+
 let grid_n g = Array.length g.pdf
 let grid_hi g = g.lo +. (g.dx *. float_of_int (grid_n g - 1))
 let grid_xs g = Array.init (grid_n g) (fun i -> g.lo +. (float_of_int i *. g.dx))

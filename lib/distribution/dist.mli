@@ -87,6 +87,14 @@ val shift : t -> float -> t
 val scale : t -> float -> t
 (** [scale d c] is the distribution of [c·X]; requires [c > 0]. *)
 
+val without_caches : t -> t
+(** The same distribution (bitwise: same samples, support and chain
+    metadata) as a fresh value whose lazily built interpolation caches
+    (spline, k-point atoms, third moment) are empty. The sampled arrays
+    are shared, not copied. Memo tables keep this view so that a cache
+    built while the value is in use is dropped with the use instead of
+    staying resident. *)
+
 val resample : ?points:int -> t -> t
 (** Resample the density onto a fresh uniform grid of [points] samples. *)
 

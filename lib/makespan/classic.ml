@@ -10,6 +10,7 @@ type max_op = points:int -> Distribution.Dist.t -> Distribution.Dist.t -> Distri
 let update_node ~(max : max_op) ~points ~dgraph
     ~(task_dist : task:int -> proc:int -> Distribution.Dist.t)
     ~(comm_dist : volume:float -> src:int -> dst:int -> Distribution.Dist.t)
+    ?(arrival : (src:int -> Distribution.Dist.t -> Distribution.Dist.t) option)
     sched completion v =
   let graph = sched.Sched.Schedule.graph in
   let proc_of = sched.Sched.Schedule.proc_of in
@@ -21,9 +22,11 @@ let update_node ~(max : max_op) ~points ~dgraph
        original graph *)
     match Dag.Graph.volume graph ~src:p ~dst:v with
     | None -> completion.(p)
-    | Some volume ->
+    | Some volume -> (
       let comm = comm_dist ~volume ~src:proc_of.(p) ~dst:proc_of.(v) in
-      Distribution.Dist.add ~points completion.(p) comm
+      match arrival with
+      | None -> Distribution.Dist.add ~points completion.(p) comm
+      | Some f -> f ~src:p comm)
   in
   let preds = Dag.Graph.preds dgraph v in
   let np = Array.length preds in

@@ -25,6 +25,7 @@ val update_node :
   dgraph:Dag.Graph.t ->
   task_dist:(task:int -> proc:int -> Distribution.Dist.t) ->
   comm_dist:(volume:float -> src:int -> dst:int -> Distribution.Dist.t) ->
+  ?arrival:(src:int -> Distribution.Dist.t -> Distribution.Dist.t) ->
   Sched.Schedule.t ->
   Distribution.Dist.t array ->
   int ->
@@ -34,7 +35,12 @@ val update_node :
     {!completion_dists_with}, exposed so {!Engine.reevaluate_any} can replay
     just a dirty cone and still produce bitwise-identical results (the
     fold order over [Dag.Graph.preds] is the deterministic sorted
-    order). *)
+    order).
+
+    [arrival ~src comm], when given, replaces the data-edge arrival
+    [Dist.add ~points completion.(src) comm] (with [comm] the edge's
+    distribution from [comm_dist]); it must return the same bits. The
+    engine's sessions pass a per-edge memo here. *)
 
 val completion_dists_with :
   max:max_op ->

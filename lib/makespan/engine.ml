@@ -56,6 +56,9 @@ type stats = {
   reeval_full_backend : int;  (** fallbacks on non-incremental backends (Dodin, Monte Carlo) *)
   reeval_cone_nodes : int;
   reeval_max_cone : int;
+  arrival_hits : int;
+  arrival_misses : int;
+  accepts : int;
 }
 
 (* Global observability mirrors of the per-engine counters: every engine
@@ -75,6 +78,9 @@ let m_reeval_full = Obs.Metrics.counter "engine.reeval_full"
 let m_reeval_full_cone = Obs.Metrics.counter "engine.reeval_full_cone"
 let m_reeval_full_backend = Obs.Metrics.counter "engine.reeval_full_backend"
 let m_reeval_cone_nodes = Obs.Metrics.counter "engine.reeval_cone_nodes"
+let m_arrival_hits = Obs.Metrics.counter "engine.arrival_hits"
+let m_arrival_misses = Obs.Metrics.counter "engine.arrival_misses"
+let m_accepts = Obs.Metrics.counter "engine.accepts"
 
 let span_name = function
   | Classical -> "engine.eval.classical"
@@ -111,6 +117,9 @@ type t = {
   reeval_full_backend : int Atomic.t;
   reeval_cone_nodes : int Atomic.t;
   reeval_max_cone : int Atomic.t;
+  arrival_hits : int Atomic.t;
+  arrival_misses : int Atomic.t;
+  accepts : int Atomic.t;
   scratch : scratch Domain.DLS.key;
 }
 
@@ -155,6 +164,9 @@ let create ~graph ~platform ~model =
     reeval_full_backend = Atomic.make 0;
     reeval_cone_nodes = Atomic.make 0;
     reeval_max_cone = Atomic.make 0;
+    arrival_hits = Atomic.make 0;
+    arrival_misses = Atomic.make 0;
+    accepts = Atomic.make 0;
     scratch = Domain.DLS.new_key (fun () -> { dists = [||]; pairs = [||] });
   }
 
@@ -180,6 +192,9 @@ let stats t =
     reeval_full_backend = Atomic.get t.reeval_full_backend;
     reeval_cone_nodes = Atomic.get t.reeval_cone_nodes;
     reeval_max_cone = Atomic.get t.reeval_max_cone;
+    arrival_hits = Atomic.get t.arrival_hits;
+    arrival_misses = Atomic.get t.arrival_misses;
+    accepts = Atomic.get t.accepts;
   }
 
 let reset_stats t =
@@ -197,7 +212,10 @@ let reset_stats t =
   Atomic.set t.reeval_full_cone 0;
   Atomic.set t.reeval_full_backend 0;
   Atomic.set t.reeval_cone_nodes 0;
-  Atomic.set t.reeval_max_cone 0
+  Atomic.set t.reeval_max_cone 0;
+  Atomic.set t.arrival_hits 0;
+  Atomic.set t.arrival_misses 0;
+  Atomic.set t.accepts 0
 
 (* ------------------------------------------------------------------ *)
 (* Cached distribution views                                           *)
@@ -221,9 +239,13 @@ let task_dist t ~task ~proc =
           t.task_tbl.(task).(proc) <- Some d;
           d)
 
+(* One shared point mass at 0 for every zero-weight (co-located) edge,
+   so identity checks on comm distributions hit those edges too. *)
+let zero_dist = Distribution.Dist.const 0.
+
 let comm_dist t ~volume ~src ~dst =
   let w = Platform.comm_time t.platform ~src ~dst ~volume in
-  if w = 0. then Distribution.Dist.const 0.
+  if w = 0. then zero_dist
   else
     let cached = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.comm_tbl w) in
     match cached with
@@ -395,7 +417,35 @@ let analyze ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
    comparison — and the downstream fold order — is deterministic).
    Everything else sees bitwise-identical inputs and keeps its stored
    value, which is why [reevaluate_any] agrees bitwise with a fresh
-   [analyze] of the patched schedule. *)
+   [analyze] of the patched schedule.
+
+   Arrival memo (Classical). A dirty node's clean predecessors still
+   feed it [C(p) + comm(p→v)], one convolution per data edge. The
+   session keeps, per data edge, the arrival last built for it and the
+   comm distribution it used. Invariant: the stored arrival was built
+   from the current [C(p)]. Every replay that recomputes [p] also
+   recomputes all of [p]'s DAG successors (the cone is closed under
+   successors, and a full sweep covers everything), and their arrivals
+   from [p] are rebuilt and stored then; a rolled-back probe restores
+   the slots it overwrote. So a lookup from a clean [p] only has to
+   check that the comm is (physically) the same — comm distributions
+   come from the engine's memo, and co-located edges share one zero —
+   to return the stored arrival instead of convolving again. Entries
+   are kept as {!Distribution.Dist.without_caches} views and served as
+   fresh views: the splines a maximum builds on an arrival do not stay
+   resident. Bounded by one arrival per data edge.
+
+   Pending probes. Every replay writes into the session arrays and logs
+   what it overwrote (completions, memo slots) in [undo]; the
+   result stays pending. [accept] adopts it — the arrays already hold
+   the neighbor's state, so only the pinned schedule, graph and
+   evaluation move — and any other session call first rolls the log
+   back. A committing re-evaluation is a probe followed by [accept]. *)
+
+type undo =
+  | Node of int * Distribution.Dist.t  (* classical completion *)
+  | Pair of int * Distribution.Normal_pair.t  (* Spelde moments *)
+  | Edge of int * Distribution.Dist.t * Distribution.Dist.t  (* memo slot: comm, arrival *)
 
 type session = {
   engine : t;
@@ -405,12 +455,16 @@ type session = {
   mutable dgraph : Dag.Graph.t;
   s_completion : Distribution.Dist.t array;  (* Classical; [||] otherwise *)
   s_moments : Distribution.Normal_pair.t array;  (* Spelde; [||] otherwise *)
+  (* Classical arrival memo ([||] otherwise); data edges are numbered
+     [edge_base.(v) + i] for the i-th predecessor of [v] in the DAG *)
+  edge_base : int array;
+  memo_comm : Distribution.Dist.t array;
+  memo_arrival : Distribution.Dist.t array;
   dirty : bool array;
+  mutable undo : undo list;  (* newest first *)
+  mutable pending : (Sched.Schedule.t * Dag.Graph.t * evaluation) option;
   mutable last : evaluation;
 }
-
-let session_task_dist t ~task ~proc = task_dist t ~task ~proc
-let session_comm_dist t ~volume ~src ~dst = comm_dist t ~volume ~src ~dst
 
 let session_task_moments t ~task ~proc =
   Distribution.Normal_pair.make ~mean:(task_mean t ~task ~proc)
@@ -420,58 +474,133 @@ let session_comm_moments t ~volume ~src ~dst =
   Distribution.Normal_pair.make ~mean:(comm_mean t ~volume ~src ~dst)
     ~std:(comm_std t ~volume ~src ~dst)
 
-(* Full sweep into the session-owned arrays (same bits as the engine's
-   scratch-array sweep in [dist_of_backend]). *)
-let full_makespan t backend ~dgraph ~completion ~moments sched =
-  match backend with
+let edge_slot s ~src ~dst =
+  let preds = Dag.Graph.preds s.sched.Sched.Schedule.graph dst in
+  let rec find i = if fst preds.(i) = src then i else find (i + 1) in
+  s.edge_base.(dst) + find 0
+
+(* A dirty source was just recomputed, so its arrival cannot be in the
+   memo: it is convolved and stored without a lookup (and not counted),
+   which keeps the invariant above. *)
+let memo_arrival s ~dst ~src comm =
+  let t = s.engine in
+  let e = edge_slot s ~src ~dst in
+  let clean = not s.dirty.(src) in
+  if clean && s.memo_comm.(e) == comm then begin
+    Atomic.incr t.arrival_hits;
+    Obs.Metrics.incr m_arrival_hits;
+    Distribution.Dist.without_caches s.memo_arrival.(e)
+  end
+  else begin
+    if clean then begin
+      Atomic.incr t.arrival_misses;
+      Obs.Metrics.incr m_arrival_misses
+    end;
+    let a = Distribution.Dist.add ~points:t.points s.s_completion.(src) comm in
+    s.undo <- Edge (e, s.memo_comm.(e), s.memo_arrival.(e)) :: s.undo;
+    s.memo_comm.(e) <- comm;
+    s.memo_arrival.(e) <- Distribution.Dist.without_caches a;
+    a
+  end
+
+(* Recompute the nodes marked in [s.dirty], in topological order of
+   [dgraph'], into the session arrays, logging every overwritten slot,
+   and return the makespan. Non-incremental backends evaluate in full on
+   the engine's scratch. *)
+let replay s ~dgraph' sched' =
+  let t = s.engine in
+  let dirty = s.dirty in
+  match s.backend with
   | Classical ->
-    ignore
-      (Classic.completion_dists_with ~max:max_indep ~points:t.points ~dgraph ~completion
-         ~task_dist:(fun ~task ~proc -> session_task_dist t ~task ~proc)
-         ~comm_dist:(fun ~volume ~src ~dst -> session_comm_dist t ~volume ~src ~dst)
-         sched
-        : Distribution.Dist.t array);
-    Classic.makespan_of_exits ~max:max_indep ~points:t.points dgraph completion
+    let completion = s.s_completion in
+    Array.iter
+      (fun v ->
+        if dirty.(v) then begin
+          s.undo <- Node (v, completion.(v)) :: s.undo;
+          Classic.update_node ~max:max_indep ~points:t.points ~dgraph:dgraph'
+            ~task_dist:(fun ~task ~proc -> task_dist t ~task ~proc)
+            ~comm_dist:(fun ~volume ~src ~dst -> comm_dist t ~volume ~src ~dst)
+            ~arrival:(fun ~src comm -> memo_arrival s ~dst:v ~src comm)
+            sched' completion v
+        end)
+      (Dag.Graph.topo_order dgraph');
+    Classic.makespan_of_exits ~max:max_indep ~points:t.points dgraph' completion
   | Spelde ->
-    let m =
-      Spelde.moments_with ~dgraph ~completion:moments
-        ~task_moments:(fun ~task ~proc -> session_task_moments t ~task ~proc)
-        ~comm_moments:(fun ~volume ~src ~dst -> session_comm_moments t ~volume ~src ~dst)
-        sched
-    in
-    Distribution.Normal_pair.to_normal ~points:t.points m
-  | (Dodin | Montecarlo _) as backend -> dist_of_backend t ~dgraph backend sched
+    let moments = s.s_moments in
+    Array.iter
+      (fun v ->
+        if dirty.(v) then begin
+          s.undo <- Pair (v, moments.(v)) :: s.undo;
+          Spelde.update_node ~dgraph:dgraph'
+            ~task_moments:(fun ~task ~proc -> session_task_moments t ~task ~proc)
+            ~comm_moments:(fun ~volume ~src ~dst -> session_comm_moments t ~volume ~src ~dst)
+            sched' moments v
+        end)
+      (Dag.Graph.topo_order dgraph');
+    Distribution.Normal_pair.to_normal ~points:t.points
+      (Spelde.moments_of_exits ~dgraph:dgraph' moments)
+  | (Dodin | Montecarlo _) as backend -> dist_of_backend t ~dgraph:dgraph' backend sched'
+
+let discard s =
+  List.iter
+    (function
+      | Node (v, d) -> s.s_completion.(v) <- d
+      | Pair (v, p) -> s.s_moments.(v) <- p
+      | Edge (e, comm, a) ->
+        s.memo_comm.(e) <- comm;
+        s.memo_arrival.(e) <- a)
+    s.undo;
+  s.undo <- [];
+  s.pending <- None
+
+let adopt s (sched, dgraph, ev) =
+  s.sched <- sched;
+  s.dgraph <- dgraph;
+  s.last <- ev;
+  s.undo <- [];
+  s.pending <- None
 
 let start_session ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
   check_schedule t sched;
   count_eval t backend;
   let n = t.n_tasks in
   let dgraph = Sched.Disjunctive.graph_of sched in
-  let s_completion =
-    match backend with
-    | Classical -> Array.make n (Distribution.Dist.const 0.)
-    | _ -> [||]
+  let classical = match backend with Classical -> true | _ -> false in
+  let edge_base =
+    if classical then begin
+      let base = Array.make (n + 1) 0 in
+      for v = 0 to n - 1 do
+        base.(v + 1) <- base.(v) + Array.length (Dag.Graph.preds sched.Sched.Schedule.graph v)
+      done;
+      base
+    end
+    else [||]
   in
-  let s_moments =
-    match backend with
-    | Spelde -> Array.make n (Distribution.Normal_pair.const 0.)
-    | _ -> [||]
+  let n_edges = if classical then edge_base.(n) else 0 in
+  let s =
+    {
+      engine = t;
+      backend;
+      slack_mode;
+      sched;
+      dgraph;
+      s_completion = (if classical then Array.make n zero_dist else [||]);
+      s_moments =
+        (match backend with
+        | Spelde -> Array.make n (Distribution.Normal_pair.const 0.)
+        | _ -> [||]);
+      edge_base;
+      memo_comm = Array.make n_edges zero_dist;
+      memo_arrival = Array.make n_edges zero_dist;
+      dirty = Array.make n true;
+      undo = [];
+      pending = None;
+      last = { makespan = zero_dist; slack = slack_of t slack_mode ~dgraph sched };
+    }
   in
-  let makespan =
-    full_makespan t backend ~dgraph ~completion:s_completion ~moments:s_moments sched
-  in
-  let slack = slack_of t slack_mode ~dgraph sched in
-  {
-    engine = t;
-    backend;
-    slack_mode;
-    sched;
-    dgraph;
-    s_completion;
-    s_moments;
-    dirty = Array.make n false;
-    last = { makespan; slack };
-  }
+  let makespan = replay s ~dgraph':dgraph sched in
+  adopt s (sched, dgraph, { s.last with makespan });
+  s
 
 let session_schedule s = s.sched
 let session_evaluation s = s.last
@@ -516,9 +645,9 @@ let mark_dirty_cone session ~seeds ~dgraph' =
 
 (* Shared replay core: [sched'] is the already-patched (hence feasible)
    schedule, [seeds] the tasks whose timing the patch certainly changed.
-   Callers construct [sched'] *before* this runs, so an infeasible move
-   raises [Invalid_argument] without touching any session state. *)
-let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
+   The caller has rolled back any earlier pending probe; the result is
+   left pending. *)
+let reevaluate_patched ~max_cone session ~seeds sched' =
   let t = session.engine in
   let n = t.n_tasks in
   let max_cone = match max_cone with Some c -> c | None -> max 1 (n / 2) in
@@ -540,7 +669,9 @@ let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
   else begin
     if incremental_backend then begin
       Atomic.incr t.reeval_full_cone;
-      Obs.Metrics.incr m_reeval_full_cone
+      Obs.Metrics.incr m_reeval_full_cone;
+      (* full sweep: every node is recomputed *)
+      Array.fill session.dirty 0 n true
     end
     else begin
       Atomic.incr t.reeval_full_backend;
@@ -548,72 +679,30 @@ let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
     end;
     Obs.Metrics.incr m_reeval_full
   end;
-  let saved = ref [] in
-  let makespan =
-    if incremental then begin
-      let dirty = session.dirty in
-      (match session.backend with
-      | Classical ->
-        let completion = session.s_completion in
-        Array.iter
-          (fun v ->
-            if dirty.(v) then begin
-              if not commit then saved := (v, `Dist completion.(v)) :: !saved;
-              Classic.update_node ~max:max_indep ~points:t.points ~dgraph:dgraph'
-                ~task_dist:(fun ~task ~proc -> session_task_dist t ~task ~proc)
-                ~comm_dist:(fun ~volume ~src ~dst -> session_comm_dist t ~volume ~src ~dst)
-                sched' completion v
-            end)
-          (Dag.Graph.topo_order dgraph');
-        Classic.makespan_of_exits ~max:max_indep ~points:t.points dgraph' completion
-      | Spelde ->
-        let moments = session.s_moments in
-        Array.iter
-          (fun v ->
-            if dirty.(v) then begin
-              if not commit then saved := (v, `Pair moments.(v)) :: !saved;
-              Spelde.update_node ~dgraph:dgraph'
-                ~task_moments:(fun ~task ~proc -> session_task_moments t ~task ~proc)
-                ~comm_moments:(fun ~volume ~src ~dst ->
-                  session_comm_moments t ~volume ~src ~dst)
-                sched' moments v
-            end)
-          (Dag.Graph.topo_order dgraph');
-        Distribution.Normal_pair.to_normal ~points:t.points
-          (Spelde.moments_of_exits ~dgraph:dgraph' moments)
-      | Dodin | Montecarlo _ -> assert false)
-    end
-    else if commit then
-      full_makespan t session.backend ~dgraph:dgraph' ~completion:session.s_completion
-        ~moments:session.s_moments sched'
-    else
-      (* keep the session arrays intact: run the fallback through the
-         engine's domain-local scratch, exactly like [analyze] *)
-      dist_of_backend t ~dgraph:dgraph' session.backend sched'
-  in
+  let makespan = replay session ~dgraph' sched' in
   let slack = slack_of t session.slack_mode ~dgraph:dgraph' sched' in
   let ev = { makespan; slack } in
-  if commit then begin
-    session.sched <- sched';
-    session.dgraph <- dgraph';
-    session.last <- ev
-  end
-  else
-    List.iter
-      (fun (v, old) ->
-        match old with
-        | `Dist d -> session.s_completion.(v) <- d
-        | `Pair p -> session.s_moments.(v) <- p)
-      !saved;
+  session.pending <- Some (sched', dgraph', ev);
   ev
 
+let accept session =
+  match session.pending with
+  | None -> invalid_arg "Engine.accept: no pending re-evaluation to adopt"
+  | Some p ->
+    adopt session p;
+    Atomic.incr session.engine.accepts;
+    Obs.Metrics.incr m_accepts
+
 let reevaluate_any ?(commit = true) ?max_cone session (m : Sched.Neighbor.any) =
+  discard session;
   (* build the neighbor first: an infeasible move raises before any
-     session state is touched *)
+     pinned state is touched *)
   let sched' = Sched.Neighbor.apply_any session.sched m in
   let seeds =
     match m with
     | Sched.Neighbor.Reassign mv -> [ mv.Sched.Neighbor.task ]
     | Sched.Neighbor.Swap sw -> [ sw.Sched.Neighbor.a; sw.Sched.Neighbor.b ]
   in
-  reevaluate_patched ~commit ~max_cone session ~seeds sched'
+  let ev = reevaluate_patched ~max_cone session ~seeds sched' in
+  if commit then accept session;
+  ev

@@ -89,9 +89,27 @@ val analyze :
     [Montecarlo] fall back to a full evaluation — same bits, no
     speedup — counted under [reeval_full].
 
+    {b Arrival memo.} A [Classical] session also keeps, per data edge
+    [p → v], the arrival [C(p) + comm(p→v)] last built from the current
+    [C(p)] (every replay that recomputes [p] rebuilds the arrivals out
+    of it, since the cone is closed under successors) and the comm
+    distribution it used. A replay serves a dirty node's clean
+    predecessors from this memo whenever the comm is the same, instead
+    of convolving again, bitwise the same. Memory: at most one retained arrival per data edge, kept
+    without its lazily built spline caches. Hits and misses are counted
+    under [arrival_hits] / [arrival_misses].
+
+    {b Pending state.} A [commit:false] re-evaluation leaves the
+    neighbor's recomputed state pending in the session; {!accept}
+    adopts it (no second replay), and any other call on the session
+    first rolls it back. [commit:true] is a re-evaluation followed by
+    {!accept}.
+
     Sessions own their arrays (full {!analyze} calls on the same engine
     are unaffected) but are NOT thread-safe: use one session per
-    domain. *)
+    domain. A session assumes the process-wide
+    {!Distribution.Dist.set_chain_mode} does not change during its
+    life. *)
 
 type session
 
@@ -115,10 +133,22 @@ val reevaluate_any :
     pinned schedule, recomputing only the dirty cone when the backend
     allows it. The cone is seeded from the moved task of a reassignment,
     or from both tasks of a swap. [commit] (default true) advances the
-    session to the neighbor; [commit:false] evaluates and restores the
-    previous state, so many neighbors can be probed off one base
-    schedule. Raises [Invalid_argument] if the move would deadlock the
-    eager execution (session state is untouched in that case). *)
+    session to the neighbor; [commit:false] leaves the pinned schedule
+    in place with the neighbor's state pending (see {!accept}), so many
+    neighbors can be probed off one base schedule. Raises [Invalid_argument] if the move would deadlock the
+    eager execution (the pinned schedule and its evaluation are
+    untouched in that case; an earlier pending probe is rolled back all
+    the same). *)
+
+val accept : session -> unit
+(** Advance the session to the neighbor of the last [commit:false]
+    {!reevaluate_any}, adopting the state that probe left pending
+    instead of replaying its cone. Afterwards {!session_schedule} and
+    {!session_evaluation} return that neighbor and its evaluation.
+    Counted under [accepts], not as a re-evaluation. Raises
+    [Invalid_argument] when nothing is pending: no probe since the
+    last commit or [accept], or a later call on the session rolled it
+    back. *)
 
 (** {1 Cached views}
 
@@ -158,6 +188,10 @@ type stats = {
       (** fallbacks on non-incremental backends (Dodin, Monte-Carlo) *)
   reeval_cone_nodes : int;  (** total dirty nodes over incremental reevals *)
   reeval_max_cone : int;  (** largest incremental cone seen *)
+  arrival_hits : int;
+      (** data-edge arrivals a classical session served from its memo *)
+  arrival_misses : int;  (** data-edge arrivals a classical session convolved *)
+  accepts : int;  (** pending re-evaluations adopted by {!accept} *)
 }
 
 val stats : t -> stats

@@ -1,11 +1,11 @@
 (* Simulated annealing / stochastic local search over schedules
    (DESIGN.md §17). The hot loop probes one-task reassigns and task
    swaps through a single incremental engine session
-   ([Engine.reevaluate_any ~commit:false]) and replays the move with
-   [commit:true] only on acceptance, so the expensive path is paid twice
-   only for the accepted minority. Priority-perturbation moves rebuild a
-   schedule through the list-scheduler driver with a jittered rank table
-   — a full evaluation, kept rare by the default move mix. *)
+   ([Engine.reevaluate_any ~commit:false]) and, on acceptance, adopts
+   the probe's pending cone state with [Engine.accept] — one dirty-cone
+   replay per step, accepted or not. Priority-perturbation moves rebuild
+   a schedule through the list-scheduler driver with a jittered rank
+   table — a full evaluation, kept rare by the default move mix. *)
 
 module Engine = Makespan.Engine
 
@@ -55,6 +55,10 @@ type stats = {
   reeval_incremental : int;
   reeval_full : int;
   full_evals : int;
+  priority_accepted : int;
+  accepts : int;
+  arrival_hits : int;
+  arrival_misses : int;
 }
 
 let incremental_fraction s =
@@ -141,6 +145,7 @@ let run ?(should_stop = fun () -> false) ~engine ~init config =
   and accepted = ref 0
   and infeasible = ref 0
   and priority_moves = ref 0
+  and priority_accepted = ref 0
   and restarts_done = ref 0 in
   let interrupted = ref false in
   let progress = Obs.Progress.create ~total:config.steps "optimize" in
@@ -257,16 +262,14 @@ let run ?(should_stop = fun () -> false) ~engine ~init config =
                    let ev =
                      Engine.reevaluate_any ~commit:false ~max_cone !session mv
                    in
-                   ( ev,
-                     fun () ->
-                       ignore
-                         (Engine.reevaluate_any ~commit:true ~max_cone
-                            !session mv
-                           : Engine.evaluation) )
+                   (ev, fun () -> Engine.accept !session)
                  | `Rebuild sched' ->
                    incr priority_moves;
                    let s' = start_session sched' in
-                   (Engine.session_evaluation s', fun () -> session := s')
+                   ( Engine.session_evaluation s',
+                     fun () ->
+                       incr priority_accepted;
+                       session := s' )
                in
                let obj = value ev in
                let sched' =
@@ -312,6 +315,7 @@ let run ?(should_stop = fun () -> false) ~engine ~init config =
      raise exn);
   Obs.Progress.finish progress;
   let engine_after = Engine.stats engine in
+  let diff f = f engine_after - f engine_before in
   let stats =
     {
       steps_done = !steps_done;
@@ -320,11 +324,14 @@ let run ?(should_stop = fun () -> false) ~engine ~init config =
       infeasible = !infeasible;
       priority_moves = !priority_moves;
       restarts_done = !restarts_done;
-      reevals = engine_after.Engine.reevals - engine_before.Engine.reevals;
-      reeval_incremental =
-        engine_after.Engine.reeval_incremental - engine_before.Engine.reeval_incremental;
-      reeval_full = engine_after.Engine.reeval_full - engine_before.Engine.reeval_full;
+      reevals = diff (fun s -> s.Engine.reevals);
+      reeval_incremental = diff (fun s -> s.Engine.reeval_incremental);
+      reeval_full = diff (fun s -> s.Engine.reeval_full);
       full_evals = !full_evals;
+      priority_accepted = !priority_accepted;
+      accepts = diff (fun s -> s.Engine.accepts);
+      arrival_hits = diff (fun s -> s.Engine.arrival_hits);
+      arrival_misses = diff (fun s -> s.Engine.arrival_misses);
     }
   in
   {

@@ -49,7 +49,7 @@ val default : config
 
 type stats = {
   steps_done : int;
-  probes : int;  (** neighbor evaluations, including commit replays *)
+  probes : int;  (** neighbor evaluations, one per feasible draw *)
   accepted : int;
   infeasible : int;  (** draws rejected by validation before probing *)
   priority_moves : int;
@@ -58,6 +58,15 @@ type stats = {
   reeval_incremental : int;
   reeval_full : int;
   full_evals : int;  (** fresh full sweeps (sessions and priority probes) *)
+  priority_accepted : int;
+      (** accepted priority rebuilds: each swaps in the fresh session it
+          was probed on *)
+  accepts : int;
+      (** accepted reassigns/swaps, each adopted from its pending probe by
+          {!Makespan.Engine.accept} without a replay; with
+          [priority_accepted] it sums to [accepted] *)
+  arrival_hits : int;  (** data-edge arrivals served by the session memo *)
+  arrival_misses : int;  (** data-edge arrivals convolved *)
 }
 
 val incremental_fraction : stats -> float

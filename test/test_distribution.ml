@@ -167,6 +167,38 @@ let trim_preserves_moments () =
   check_close_abs ~eps:1e-3 "mean" 0. (Dist.mean t);
   check_close ~eps:5e-3 "std" 1. (Dist.std t)
 
+(* A cache-free view is the same value: every sum and maximum built
+   from it (wide, k-point and two-point adds; maxima that fit splines)
+   has the same bits as one built from the original, before and after
+   the original's lazy caches are filled. *)
+let without_caches_same_bits () =
+  let fingerprint d =
+    let xs, pdf = Dist.to_arrays d in
+    List.map Int64.bits_of_float (Array.to_list xs @ Array.to_list pdf)
+  in
+  let wide = Family.normal ~mean:50. ~std:6. () in
+  let narrow = Family.uncertain ~ul:1.1 3. in
+  let tiny = Family.uniform ~lo:1. ~hi:1.0001 () in
+  let ops =
+    [
+      ("add wide", fun d -> Dist.add d (Family.normal ~mean:40. ~std:5. ()));
+      ("add k-point", fun d -> Dist.add d narrow);
+      ("add two-point", fun d -> Dist.add d tiny);
+      ("max", fun d -> Dist.max_indep d (Family.normal ~mean:52. ~std:4. ()));
+    ]
+  in
+  let original = List.map (fun (name, f) -> (name, fingerprint (f wide))) ops in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (list int64))
+        (name ^ " on the view") (List.assoc name original)
+        (fingerprint (f (Dist.without_caches wide))))
+    ops;
+  Alcotest.(check (list int64)) "view of the view" (fingerprint wide)
+    (fingerprint (Dist.without_caches (Dist.without_caches wide)));
+  Alcotest.(check bool) "const passes through" true
+    (Dist.mean (Dist.without_caches (Dist.const 3.)) = 3.)
+
 (* --- sum algebra --- *)
 
 let add_consts () =
@@ -637,6 +669,7 @@ let () =
           tc "scale rejects" `Quick scale_rejects_nonpositive;
           tc "resample" `Quick resample_preserves_moments;
           tc "trim" `Quick trim_preserves_moments;
+          tc "without_caches same bits" `Quick without_caches_same_bits;
         ] );
       ( "sum",
         [

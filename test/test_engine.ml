@@ -308,6 +308,144 @@ let reevaluate_walk backend steps () =
     (steps + (steps / 7))
     (Makespan.Engine.stats engine).Makespan.Engine.reevals
 
+(* The pending-state oracle: one session walked through reassign and
+   swap probes, rejected probes, [accept], [commit:true], forced full
+   fallbacks ([max_cone:1]) and an infeasible move raising mid-walk.
+   After every step the probe's bits and the session's bits must equal a
+   fresh [analyze] on a second engine, whose caches share nothing with
+   the session's arrays or arrival memo. *)
+let session_oracle_walk backend steps () =
+  let rng = Tutil.rng_of_seed 77 in
+  let graph = Workloads.Random_dag.generate ~rng ~n:16 () in
+  let n_tasks = Dag.Graph.n_tasks graph in
+  let n_procs = 3 in
+  let platform = Platform.Gen.uniform_minval ~rng ~n_tasks ~n_procs () in
+  let engine = engine_of (graph, platform) in
+  let oracle = engine_of (graph, platform) in
+  let fresh sched = Makespan.Engine.analyze ~backend oracle sched in
+  let sched = ref (Sched.Random_sched.generate ~rng ~graph ~n_procs) in
+  let session = Makespan.Engine.start_session ~backend engine !sched in
+  let draw () =
+    match
+      if Prng.Xoshiro.int rng 4 = 0 then Sched.Neighbor.random_swap ~rng !sched else None
+    with
+    | Some sw -> Sched.Neighbor.Swap sw
+    | None -> Sched.Neighbor.Reassign (Sched.Neighbor.random ~rng !sched)
+  in
+  (* moving the head [v] of a DAG edge u → v in front of [u] on [u]'s
+     processor deadlocks the eager execution *)
+  let infeasible () =
+    Array.to_list (Dag.Graph.edges graph)
+    |> List.find_map (fun (u, v, _) ->
+           let mv =
+             Sched.Neighbor.Reassign
+               (Sched.Neighbor.make ~at:(!sched).Sched.Schedule.pos_in_proc.(u) ~task:v
+                  ~to_:(!sched).Sched.Schedule.proc_of.(u) ())
+           in
+           match Sched.Neighbor.apply_any_opt !sched mv with None -> Some mv | Some _ -> None)
+  in
+  let raises_invalid f = try f (); false with Invalid_argument _ -> true in
+  let accepted = ref 0 and rejected = ref 0 and committed = ref 0 in
+  let fallbacks = ref 0 and raised = ref 0 in
+  for step = 1 to steps do
+    let label = Printf.sprintf "step %d" step in
+    (if step mod 9 = 4 then begin
+       (* leave a probe pending, then raise: the pending probe is rolled
+          back and the pinned schedule stays put *)
+       let mv = draw () in
+       (match Sched.Neighbor.apply_any_opt !sched mv with
+       | Some sched' ->
+         eval_bits_equal (label ^ " probe before the raise") (fresh sched')
+           (Makespan.Engine.reevaluate_any ~commit:false session mv)
+       | None -> ());
+       match infeasible () with
+       | None -> ()
+       | Some bad ->
+         if not (raises_invalid (fun () -> ignore (Makespan.Engine.reevaluate_any session bad)))
+         then Alcotest.failf "%s: infeasible move accepted" label;
+         incr raised;
+         if not (raises_invalid (fun () -> Makespan.Engine.accept session)) then
+           Alcotest.failf "%s: accept after a raising call adopted a stale probe" label
+     end
+     else
+       let mv = draw () in
+       match Sched.Neighbor.apply_any_opt !sched mv with
+       | None -> ()
+       | Some sched' ->
+         let max_cone = if step mod 5 = 0 then Some 1 else None in
+         if Option.is_some max_cone then incr fallbacks;
+         if step mod 7 = 0 then begin
+           let ev = Makespan.Engine.reevaluate_any ?max_cone session mv in
+           sched := sched';
+           incr committed;
+           eval_bits_equal (label ^ " commit") (fresh sched') ev
+         end
+         else begin
+           let probe = Makespan.Engine.reevaluate_any ~commit:false ?max_cone session mv in
+           eval_bits_equal (label ^ " probe") (fresh sched') probe;
+           if Prng.Xoshiro.int rng 3 = 0 then begin
+             Makespan.Engine.accept session;
+             sched := sched';
+             incr accepted
+           end
+           else incr rejected
+         end);
+    Alcotest.(check string)
+      (label ^ " pinned schedule")
+      (Sched.Schedule.to_string !sched)
+      (Sched.Schedule.to_string (Makespan.Engine.session_schedule session));
+    eval_bits_equal (label ^ " session") (fresh !sched)
+      (Makespan.Engine.session_evaluation session)
+  done;
+  List.iter
+    (fun (what, n) -> if n = 0 then Alcotest.failf "walk never exercised %s" what)
+    [
+      ("accept", !accepted);
+      ("rejected probes", !rejected);
+      ("commit:true", !committed);
+      ("full fallbacks", !fallbacks);
+      ("infeasible moves", !raised);
+    ];
+  let st = Makespan.Engine.stats engine in
+  Alcotest.(check int) "accepts counted" (!accepted + !committed) st.Makespan.Engine.accepts;
+  match backend with
+  | Makespan.Engine.Classical ->
+    Alcotest.(check bool) "arrival memo served hits" true (st.Makespan.Engine.arrival_hits > 0)
+  | _ -> Alcotest.(check int) "no arrival memo" 0 st.Makespan.Engine.arrival_hits
+
+(* [accept] adopts only the latest pending probe, and raises when there
+   is none. *)
+let accept_pending_contract backend () =
+  let graph, platform, s1, _ = fixture () in
+  let engine = engine_of (graph, platform) in
+  let session = Makespan.Engine.start_session ~backend engine s1 in
+  let raises_invalid label =
+    match Makespan.Engine.accept session with
+    | () -> Alcotest.failf "%s: accept with nothing pending" label
+    | exception Invalid_argument _ -> ()
+  in
+  raises_invalid "fresh session";
+  let rng = Tutil.rng_of_seed 5 in
+  let rec feasible () =
+    let mv = Sched.Neighbor.Reassign (Sched.Neighbor.random ~rng s1) in
+    match Sched.Neighbor.apply_any_opt s1 mv with
+    | Some s' when Sched.Schedule.to_string s' <> Sched.Schedule.to_string s1 -> (mv, s')
+    | _ -> feasible ()
+  in
+  let m1, _ = feasible () in
+  let m2, s2 = feasible () in
+  ignore (Makespan.Engine.reevaluate_any ~commit:false session m1);
+  let probe2 = Makespan.Engine.reevaluate_any ~commit:false session m2 in
+  Makespan.Engine.accept session;
+  Alcotest.(check string) "the second probe was adopted" (Sched.Schedule.to_string s2)
+    (Sched.Schedule.to_string (Makespan.Engine.session_schedule session));
+  let expected = Makespan.Engine.analyze ~backend (engine_of (graph, platform)) s2 in
+  eval_bits_equal "adopted evaluation" expected (Makespan.Engine.session_evaluation session);
+  eval_bits_equal "adopted probe" expected probe2;
+  raises_invalid "second accept";
+  ignore (Makespan.Engine.reevaluate_any session m1);
+  raises_invalid "after commit:true"
+
 let cutoff_forces_full_fallback () =
   let graph, platform, s1, _ = fixture () in
   let engine = engine_of (graph, platform) in
@@ -436,6 +574,15 @@ let () =
             (reevaluate_walk Makespan.Engine.Spelde 200);
           Alcotest.test_case "dodin walk == analyze (bitwise)" `Slow
             (reevaluate_walk Makespan.Engine.Dodin 200);
+          Alcotest.test_case "classical pending-state oracle walk" `Slow
+            (session_oracle_walk Makespan.Engine.Classical 150);
+          Alcotest.test_case "spelde pending-state oracle walk" `Slow
+            (session_oracle_walk Makespan.Engine.Spelde 150);
+          Alcotest.test_case "accept: latest probe, raises when none" `Quick
+            (fun () ->
+              List.iter
+                (fun b -> accept_pending_contract b ())
+                Makespan.Engine.[ Classical; Spelde; Dodin ]);
           Alcotest.test_case "cone cutoff falls back bitwise" `Quick
             cutoff_forces_full_fallback;
           Alcotest.test_case "reset_stats clears reeval counters" `Quick

@@ -295,6 +295,38 @@ let anneal_deterministic_frontier () =
     (Search.Archive.to_csv other.Search.Anneal.frontier <> csv1
     || bits other.Search.Anneal.best_objective <> bits best1)
 
+(* Frozen frontiers: [Anneal.default] for 200 steps from HEFT on the
+   random30/p8 golden case under two objectives. The CSV carries every
+   frontier point's step, so a change in the trajectory (a different
+   probe result, acceptance or RNG draw) fails here byte for byte. *)
+let golden_frontier_cases =
+  [ ("sigma_m", Search.Objective.Makespan_std); ("blend0.5", Search.Objective.Blend 0.5) ]
+
+(* dune runtest runs with cwd = test/; dune exec from the root *)
+let golden_dir () =
+  if Sys.file_exists "golden" then "golden" else Filename.concat "test" "golden"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let anneal_golden_frontier () =
+  let case =
+    Experiments.Case.make ~kind:Experiments.Case.Random_graph ~n_target:30 ~n_procs:8 ~ul:1.1
+      ~seed:2L ()
+  in
+  let { Experiments.Case.graph; platform; model; _ } = Experiments.Case.instantiate case in
+  let init = Sched.Heft.schedule graph platform in
+  List.iter
+    (fun (name, objective) ->
+      let engine = Makespan.Engine.create ~graph ~platform ~model in
+      let outcome =
+        Search.Anneal.run ~engine ~init { Search.Anneal.default with steps = 200; objective }
+      in
+      let label = "anneal__random30_" ^ name in
+      Alcotest.(check string) label
+        (read_file (Filename.concat (golden_dir ()) (label ^ ".csv")))
+        (Search.Archive.to_csv outcome.Search.Anneal.frontier))
+    golden_frontier_cases
+
 let anneal_should_stop_interrupts () =
   let graph, platform, init = Lazy.force fixture in
   let engine = engine_of (graph, platform) in
@@ -390,6 +422,7 @@ let () =
           Alcotest.test_case "objective bitwise vs fresh analyze" `Slow
             anneal_objective_matches_fresh_analyze;
           Alcotest.test_case "deterministic frontier" `Slow anneal_deterministic_frontier;
+          Alcotest.test_case "golden frontiers" `Slow anneal_golden_frontier;
           Alcotest.test_case "should_stop interrupts" `Quick anneal_should_stop_interrupts;
         ] );
       ( "registry",
