@@ -455,6 +455,9 @@ let wide_partial =
 
 let dist_tests =
   [
+    (* a direct-size sum (64×64 ≤ the 4096-cell cutoff below which
+       [Convolution.auto_into] runs the direct kernel), end to end:
+       sample, direct convolution, grid rebuild *)
     Test.make ~name:"dist:add-full-64x64"
       (Staged.stage (fun () ->
            let u = Lazy.force uncertain in
@@ -480,31 +483,8 @@ let dist_tests =
       (Staged.stage (fun () ->
            let w = Lazy.force wide_partial in
            ignore (Distribution.Dist.mean w +. Distribution.Dist.std w)));
-    (* a direct-size sum (64×64 ≤ the 4096-cell cutoff below which
-       [Convolution.auto_into] runs the direct kernel) on the single
-       boxed tier, end to end: sample, direct convolution, grid rebuild.
-       The name stays because CI asserts on it. *)
-    Test.make ~name:"dist:add-unboxed"
-      (Staged.stage (fun () ->
-           let u = Lazy.force uncertain in
-           ignore (Distribution.Dist.add u u)));
-    (* a 12-sum chain under Moment mode: past depth 8 every further sum
-       collapses to the CLT normal (moment arithmetic + one 64-point
-       normal sampling) instead of a convolution *)
-    Test.make ~name:"conv:moment-chain"
-      (Staged.stage (fun () ->
-           let u = Lazy.force uncertain in
-           Distribution.Dist.set_chain_mode (Distribution.Dist.Moment 8);
-           Fun.protect
-             ~finally:(fun () ->
-               Distribution.Dist.set_chain_mode Distribution.Dist.Exact)
-             (fun () ->
-               let d = ref u in
-               for _ = 1 to 12 do
-                 d := Distribution.Dist.add !d u
-               done;
-               ignore !d)));
-    (* the identical 12-sum chain on the exact path, for the ratio *)
+    (* a 12-sum convolution chain, the shape of a long path through the
+       DAG: every step adds one more operand to the growing partial *)
     Test.make ~name:"conv:exact-chain"
       (Staged.stage (fun () ->
            let u = Lazy.force uncertain in

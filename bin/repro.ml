@@ -78,36 +78,6 @@ let fault_arg =
            $(docv) is 'point:action[@N][:k=v]...' clauses joined by ';', e.g. \
            $(b,runner.eval:fail@1) or $(b,pool.chunk:delay:p=0.01:seed=7:ms=5).")
 
-let moment_depth_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "moment-depth" ] ~docv:"K"
-        ~doc:
-          "Moment-space fast path: replace a sum of distributions whose combined \
-           convolution-chain depth reaches $(docv) (>= 2) by its CLT normal, with a \
-           certified Berry-Esseen error bound carried on every result. Default: exact \
-           convolution everywhere (bit-reproducible output).")
-
-let exact_arg =
-  Arg.(
-    value & flag
-    & info [ "exact" ]
-        ~doc:
-          "Force exact sampled convolution, overriding $(b,--moment-depth). This is \
-           already the default; the flag is the explicit escape hatch for scripts that \
-           must pin byte-reproducible output.")
-
-let setup_chain_mode ~exact ~moment_depth =
-  match (exact, moment_depth) with
-  | true, _ | false, None -> Distribution.Dist.set_chain_mode Distribution.Dist.Exact
-  | false, Some k ->
-    if k < 2 then begin
-      prerr_endline "repro: --moment-depth must be >= 2";
-      Stdlib.exit 2
-    end;
-    Distribution.Dist.set_chain_mode (Distribution.Dist.Moment k)
-
 let setup_logging verbosity =
   if verbosity > 0 then begin
     Logs.set_reporter (Logs.format_reporter ());
@@ -481,15 +451,13 @@ let eval_cmd =
           document (the byte-identical offline twin of POST /eval).")
     Term.(
       const (fun workload n procs ul seed backend mc_count mc_seed schedules slack
-                 delta gamma emit moment_depth exact ->
-          setup_chain_mode ~exact ~moment_depth;
+                 delta gamma emit ->
           run_eval
             (eval_job workload n procs ul seed backend mc_count mc_seed schedules
                slack delta gamma)
             emit)
       $ case_arg $ n_arg $ procs_arg $ ul_arg $ seed_arg $ backend_arg $ mc_count_arg
-      $ mc_seed_arg $ schedules_arg $ slack_arg $ delta_arg $ gamma_arg $ emit_arg
-      $ moment_depth_arg $ exact_arg)
+      $ mc_seed_arg $ schedules_arg $ slack_arg $ delta_arg $ gamma_arg $ emit_arg)
 
 let serve_cmd =
   let queue_arg =
@@ -510,14 +478,6 @@ let serve_cmd =
             "Evaluation worker shards: each owns a private job queue, engine \
              cache and slice of the evaluation pool; jobs are consistent-hashed \
              to shards by batch key.")
-  in
-  let admit_on_conn_arg =
-    Arg.(
-      value & flag
-      & info [ "admit-on-conn" ]
-          ~doc:
-            "Build job contexts on the connection domains (the pre-fix admission \
-             placement). Only for A/B benchmarks of the contention it causes.")
   in
   let grace_arg =
     Arg.(
@@ -542,7 +502,7 @@ let serve_cmd =
           /debug/requests (flight recorder). Same-case jobs are batched onto \
           shared engines. SIGINT/SIGTERM drains gracefully.")
     Term.(
-      const (fun host port queue conns workers admit_on_conn grace slow_ms ->
+      const (fun host port queue conns workers grace slow_ms ->
           Service.Server.serve_forever
             {
               Service.Server.default_config with
@@ -551,12 +511,11 @@ let serve_cmd =
               queue_capacity = queue;
               conn_domains = conns;
               workers;
-              conn_admit = admit_on_conn;
               drain_grace_s = grace;
               slow_ms;
             })
-      $ host_arg $ port_arg 8123 $ queue_arg $ conns_arg $ workers_arg
-      $ admit_on_conn_arg $ grace_arg $ slow_ms_arg)
+      $ host_arg $ port_arg 8123 $ queue_arg $ conns_arg $ workers_arg $ grace_arg
+      $ slow_ms_arg)
 
 let loadgen_cmd =
   let concurrency_arg =
@@ -627,10 +586,10 @@ let loadgen_cmd =
       & info [ "workers-sweep" ] ~docv:"N,N,..."
           ~doc:
             "Instead of hitting a running server, drive the whole 1→N worker \
-             scaling curve in-process: one fresh server per worker count (plus \
-             the pre-fix --admit-on-conn baseline), closed-loop load over \
-             --keys distinct cases, admit-stage p99 from the metrics snapshot, \
-             and a byte-for-byte check of every response against repro eval. \
+             scaling curve in-process: one fresh server per worker count, \
+             closed-loop load over --keys distinct cases, admit-stage p99 from \
+             the metrics snapshot, and a byte-for-byte check of every response \
+             against repro eval. \
              --concurrency and --requests apply per point; --host/--port are \
              ignored.")
   in
@@ -1025,17 +984,15 @@ let run_all ctx =
 
 let ctx_term =
   Term.(
-    const (fun scale domains seed out verbose trace metrics progress fault
-               moment_depth exact ->
+    const (fun scale domains seed out verbose trace metrics progress fault ->
         setup_logging (List.length verbose);
         if trace <> None then Obs.Span.set_enabled true;
         if metrics <> None then Obs.Metrics.set_enabled true;
         if progress then Obs.Progress.set_enabled true;
         Option.iter (fun spec -> Fault.configure ~spec) fault;
-        setup_chain_mode ~exact ~moment_depth;
         { scale; domains; seed; out; trace; metrics })
     $ scale_arg $ domains_arg $ seed_arg $ out_arg $ verbose_arg $ trace_arg
-    $ metrics_arg $ progress_arg $ fault_arg $ moment_depth_arg $ exact_arg)
+    $ metrics_arg $ progress_arg $ fault_arg)
 
 (* Telemetry sinks flush once, after the command body: the trace file
    holds every span of the run, the metrics file the merged registry

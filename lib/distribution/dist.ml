@@ -18,59 +18,16 @@ type grid = {
          summed against many different wide partials, so the atoms are a
          per-grid invariant worth keeping. Same publication discipline
          as [spline]; both arrays are frozen once published. *)
-  depth : int;
-      (* convolution-chain depth: 1 for a base grid, d₁+d₂ after a sum,
-         reset to 1 by maxima (the CLT restarts at every synchronization
-         point). Drives the moment-space fast path's switch-over. *)
-  err : float;
-      (* accumulated Kolmogorov (sup-CDF) error bound versus the exact
-         sampled computation: 0 on every exact-path grid; the moment
-         fast path adds its Berry–Esseen step bound. Kolmogorov distance
-         is non-expansive under convolution and independent maxima, so
-         operand bounds compose additively. *)
-  rho3 : float option Atomic.t;
-      (* lazy E|X−μ|³ — the Berry–Esseen numerator — cached like
-         [spline]/[atoms] because chained sums re-read it each step. *)
 }
 
 type t = Const of float | Grid of grid
 
-(* Global switch for the moment-space fast path on deep convolution
-   chains. [Exact] (the default, so campaign CSVs and served bytes stay
-   bit-reproducible) always convolves sampled densities; [Moment k]
-   replaces a sum whose combined chain depth reaches [k] by its CLT
-   normal with an explicit error certificate ([err] above). Process-wide
-   and read once per [add]: one atomic load on the hot path. *)
-type chain_mode = Exact | Moment of int
-
-let chain_mode_cell : chain_mode Atomic.t = Atomic.make Exact
-
-let set_chain_mode m =
-  (match m with
-  | Moment k when k < 2 -> invalid_arg "Dist.set_chain_mode: Moment depth must be >= 2"
-  | _ -> ());
-  Atomic.set chain_mode_cell m
-
-let current_chain_mode () = Atomic.get chain_mode_cell
-
-let chain_depth = function Const _ -> 0 | Grid g -> g.depth
-let chain_error_bound = function Const _ -> 0. | Grid g -> g.err
-
-(* Rebuild the wrapper with new chain metadata, sharing the sampled
-   arrays and the lazy caches — no numeric work. *)
-let retag d ~depth ~err =
-  match d with
-  | Const _ -> d
-  | Grid g -> if g.depth = depth && g.err = err then d else Grid { g with depth; err }
-
 (* The same value with empty lazy caches: shares the sampled arrays
-   (never mutated after construction) and chain metadata; a spline,
-   atom table or ρ₃ built on the view stays on the view. *)
+   (never mutated after construction); a spline or atom table built on
+   the view stays on the view. *)
 let without_caches = function
   | Const _ as d -> d
-  | Grid g ->
-    Grid
-      { g with spline = Atomic.make None; atoms = Atomic.make None; rho3 = Atomic.make None }
+  | Grid g -> Grid { g with spline = Atomic.make None; atoms = Atomic.make None }
 
 let grid_n g = Array.length g.pdf
 let grid_hi g = g.lo +. (g.dx *. float_of_int (grid_n g - 1))
@@ -152,9 +109,6 @@ let make_grid_n ~lo ~dx ~n src =
     cdf;
     spline = Atomic.make None;
     atoms = Atomic.make None;
-    depth = 1;
-    err = 0.;
-    rho3 = Atomic.make None;
   }
 
 let make_grid ~lo ~dx pdf = make_grid_n ~lo ~dx ~n:(Array.length pdf) pdf
@@ -398,10 +352,7 @@ let mean_above d c =
 let shift d c =
   match d with
   | Const v -> Const (v +. c)
-  | Grid g ->
-    retag
-      (Grid (make_grid ~lo:(g.lo +. c) ~dx:g.dx g.pdf))
-      ~depth:g.depth ~err:g.err
+  | Grid g -> Grid (make_grid ~lo:(g.lo +. c) ~dx:g.dx g.pdf)
 
 let scale d c =
   if c <= 0. then invalid_arg "Dist.scale: factor must be positive";
@@ -409,9 +360,7 @@ let scale d c =
   | Const v -> Const (v *. c)
   | Grid g ->
     let pdf = Array.map (fun p -> p /. c) g.pdf in
-    retag
-      (Grid (make_grid ~lo:(g.lo *. c) ~dx:(g.dx *. c) pdf))
-      ~depth:g.depth ~err:g.err
+    Grid (make_grid ~lo:(g.lo *. c) ~dx:(g.dx *. c) pdf)
 
 (* Sample grid [g]'s density at [lo + k·dx] for k < n into [out], zero
    outside the support of [g]. The query points are increasing, so a
@@ -439,7 +388,7 @@ let resample ?(points = default_points) d =
     let dx = (hi -. g.lo) /. float_of_int (points - 1) in
     let buf = scratch_c points in
     sample_onto_into ~lo:g.lo ~dx ~n:points g buf;
-    retag (Grid (make_grid_n ~lo:g.lo ~dx ~n:points buf)) ~depth:g.depth ~err:g.err
+    Grid (make_grid_n ~lo:g.lo ~dx ~n:points buf)
 
 (* Trim negligible CDF tails, then resample. After repeated sums the
    support grows linearly while σ grows as √k, so without trimming the
@@ -470,11 +419,11 @@ let trim ?(eps = 1e-9) ?(points = default_points) d =
          would therefore reproduce [g.pdf] bit-for-bit; feed it straight
          to [make_grid_n] and skip the spline fit and the scan. *)
       if !i_lo = 0 && !i_hi = n - 1 && points = n && dx = g.dx && lo = g.lo
-      then retag (Grid (make_grid_n ~lo ~dx ~n:points g.pdf)) ~depth:g.depth ~err:g.err
+      then Grid (make_grid_n ~lo ~dx ~n:points g.pdf)
       else begin
         let buf = scratch_c points in
         sample_onto_into ~lo ~dx ~n:points g buf;
-        retag (Grid (make_grid_n ~lo ~dx ~n:points buf)) ~depth:g.depth ~err:g.err
+        Grid (make_grid_n ~lo ~dx ~n:points buf)
       end
     end
 
@@ -586,99 +535,41 @@ let two_point_sum ~points gw gn =
   done;
   Grid (make_grid_n ~lo ~dx ~n:points buf)
 
-(* E|X−μ|³ — the Berry–Esseen numerator. Cached on the grid because a
-   chained sum re-reads both operands' third moments at every step. *)
-let rho3_of g =
-  match Atomic.get g.rho3 with
-  | Some r -> r
-  | None ->
-    let m = grid_mean g in
-    let r =
-      integrate_weighted g (fun x ->
-          let d = Float.abs (x -. m) in
-          d *. d *. d)
-    in
-    Atomic.set g.rho3 (Some r);
-    r
-
-let abs_third_central_moment = function
-  | Const _ -> 0.
-  | Grid g -> rho3_of g
-
-(* Moment-space sum for a chain past the [Moment] threshold: replace the
-   convolution by the CLT normal with the summed mean and variance,
-   sampled on μ ± 4σ (cuts 6.3e-5 of normal mass per tail — well inside
-   the certified bound). The step's Berry–Esseen bound joins the
-   operands' accumulated [err]; [depth] keeps growing so every later sum
-   on this chain stays on the fast path. Degenerate σ² = 0 collapses to
-   the point mass (whose error bound is the vacuous 0 of [Const]). *)
-let moment_sum ~points g1 g2 ~depth ~err =
-  let m1 = grid_mean g1 and m2 = grid_mean g2 in
-  let v1 = Float.max 0. (grid_var_about m1 g1) in
-  let v2 = Float.max 0. (grid_var_about m2 g2) in
-  let mu = m1 +. m2 and var = v1 +. v2 in
-  let step =
-    Numerics.Convolution.Moment_chain.bound ~rho3:(rho3_of g1 +. rho3_of g2) ~var
-  in
-  if var <= 0. then Const mu
-  else begin
-    let std = sqrt var in
-    let lo = mu -. (4. *. std) and hi = mu +. (4. *. std) in
-    let dx = (hi -. lo) /. float_of_int (points - 1) in
-    let buf = scratch_c points in
-    Numerics.Convolution.Moment_chain.normal_pdf_into ~out:buf ~n:points ~lo ~dx
-      ~mean:mu ~std;
-    retag (Grid (make_grid_n ~lo ~dx ~n:points buf)) ~depth ~err:(err +. step)
-  end
-
 let add ?(points = default_points) d1 d2 =
   match (d1, d2) with
   | Const a, Const b -> Const (a +. b)
   | Const a, (Grid _ as g) | (Grid _ as g), Const a -> shift g a
   | Grid g1, Grid g2 ->
-    let depth = g1.depth + g2.depth in
-    let err = g1.err +. g2.err in
-    (match current_chain_mode () with
-    | Moment threshold when depth >= threshold -> moment_sum ~points g1 g2 ~depth ~err
-    | Exact | Moment _ ->
-      let range1 = grid_hi g1 -. g1.lo and range2 = grid_hi g2 -. g2.lo in
-      let dx =
-        let fine = Float.min g1.dx g2.dx in
-        let total = range1 +. range2 in
-        if total /. fine > float_of_int (max_work_samples - 1) then
-          total /. float_of_int (max_work_samples - 1)
-        else fine
-      in
-      (* A summand far narrower than the working resolution would sample to
-         all zeros (densities vanish at support edges). Replace it by the
-         two-point distribution {μ−σ, μ+σ} with mass ½ each — same mean and
-         variance — so the convolution becomes the average of two shifted
-         copies of the wide density. Errors are O(dx³) in the moments while
-         σ² accumulation (the robustness signal) is preserved exactly. *)
-      let exact =
-        if range1 < 2. *. dx then trim ~points (two_point_sum ~points g2 g1)
-        else if range2 < 2. *. dx then trim ~points (two_point_sum ~points g1 g2)
-        else if range1 < (range1 +. range2) /. 16. then
-          trim ~points (k_point_sum ~points g2 g1)
-        else if range2 < (range1 +. range2) /. 16. then
-          trim ~points (k_point_sum ~points g1 g2)
-        else begin
-          let n_of range =
-            Int.max 2 (int_of_float (Float.ceil (range /. dx -. 1e-9)) + 1)
-          in
-          let n1 = n_of range1 and n2 = n_of range2 in
-          (* f_{X+Y}(z) = ∫ f_X(x) f_Y(z−x) dx ≈ dx · Σ — the dx factor is
-             absorbed by make_grid_n's renormalization. *)
-          let p1 = scratch_a n1 and p2 = scratch_b n2 in
-          sample_onto_into ~lo:g1.lo ~dx ~n:n1 g1 p1;
-          sample_onto_into ~lo:g2.lo ~dx ~n:n2 g2 p2;
-          let conv = scratch_c (n1 + n2 - 1) in
-          Numerics.Convolution.auto_into ~out:conv p1 n1 p2 n2;
-          trim ~points
-            (Grid (make_grid_n ~lo:(g1.lo +. g2.lo) ~dx ~n:(n1 + n2 - 1) conv))
-        end
-      in
-      retag exact ~depth ~err)
+    let range1 = grid_hi g1 -. g1.lo and range2 = grid_hi g2 -. g2.lo in
+    let dx =
+      let fine = Float.min g1.dx g2.dx in
+      let total = range1 +. range2 in
+      if total /. fine > float_of_int (max_work_samples - 1) then
+        total /. float_of_int (max_work_samples - 1)
+      else fine
+    in
+    (* A summand far narrower than the working resolution would sample to
+       all zeros (densities vanish at support edges). Replace it by the
+       two-point distribution {μ−σ, μ+σ} with mass ½ each — same mean and
+       variance — so the convolution becomes the average of two shifted
+       copies of the wide density. Errors are O(dx³) in the moments while
+       σ² accumulation (the robustness signal) is preserved exactly. *)
+    if range1 < 2. *. dx then trim ~points (two_point_sum ~points g2 g1)
+    else if range2 < 2. *. dx then trim ~points (two_point_sum ~points g1 g2)
+    else if range1 < (range1 +. range2) /. 16. then trim ~points (k_point_sum ~points g2 g1)
+    else if range2 < (range1 +. range2) /. 16. then trim ~points (k_point_sum ~points g1 g2)
+    else begin
+      let n_of range = Int.max 2 (int_of_float (Float.ceil (range /. dx -. 1e-9)) + 1) in
+      let n1 = n_of range1 and n2 = n_of range2 in
+      (* f_{X+Y}(z) = ∫ f_X(x) f_Y(z−x) dx ≈ dx · Σ — the dx factor is
+         absorbed by make_grid_n's renormalization. *)
+      let p1 = scratch_a n1 and p2 = scratch_b n2 in
+      sample_onto_into ~lo:g1.lo ~dx ~n:n1 g1 p1;
+      sample_onto_into ~lo:g2.lo ~dx ~n:n2 g2 p2;
+      let conv = scratch_c (n1 + n2 - 1) in
+      Numerics.Convolution.auto_into ~out:conv p1 n1 p2 n2;
+      trim ~points (Grid (make_grid_n ~lo:(g1.lo +. g2.lo) ~dx ~n:(n1 + n2 - 1) conv))
+    end
 
 let max_indep ?(points = default_points) d1 d2 =
   match (d1, d2) with
@@ -697,11 +588,8 @@ let max_indep ?(points = default_points) d1 d2 =
       buf.(0) <- buf.(0) +. (2. *. mass /. dx);
       (* make_grid_n renormalizes; pre-scale the continuous part so that
          the atom and the tail keep their relative weights under the
-         trapezoid rule (first cell has weight dx/2, hence the factor 2).
-         A maximum is a synchronization point: chain depth resets to 1
-         (the CLT argument restarts), the accumulated bound survives
-         (Kolmogorov distance is non-expansive under maxima). *)
-      retag (Grid (make_grid_n ~lo:a ~dx ~n:points buf)) ~depth:1 ~err:g.err
+         trapezoid rule (first cell has weight dx/2, hence the factor 2). *)
+      Grid (make_grid_n ~lo:a ~dx ~n:points buf)
     end
   | Grid g1, Grid g2 ->
     let lo = Float.max g1.lo g2.lo in
@@ -729,13 +617,10 @@ let max_indep ?(points = default_points) d1 d2 =
         buf.(k) <- (f1 *. grid_cdf_at g2 x) +. (f2 *. grid_cdf_at g1 x)
       done;
       (* P(max ≤ lo) can be positive when one support starts below the
-         other: fold that atom into the first cell as above. Sync point:
-         depth resets to 1, operand error bounds add. *)
+         other: fold that atom into the first cell as above. *)
       let atom = grid_cdf_at g1 lo *. grid_cdf_at g2 lo in
       if atom > 0. then buf.(0) <- buf.(0) +. (2. *. atom /. dx);
-      retag
-        (trim ~points (Grid (make_grid_n ~lo ~dx ~n:points buf)))
-        ~depth:1 ~err:(g1.err +. g2.err)
+      trim ~points (Grid (make_grid_n ~lo ~dx ~n:points buf))
     end
 
 let max_comonotone ?(points = default_points) d1 d2 =
@@ -758,13 +643,10 @@ let max_comonotone ?(points = default_points) d1 d2 =
         let x = lo +. (float_of_int k *. dx) in
         buf.(k) <- (cdf_at (x +. (dx /. 2.)) -. cdf_at (x -. (dx /. 2.))) /. dx
       done;
-      (* fold the possible atom at the lower end into the first cell;
-         sync point, same chain bookkeeping as [max_indep] *)
+      (* fold the possible atom at the lower end into the first cell *)
       let atom = cdf_at lo in
       if atom > 0. then buf.(0) <- buf.(0) +. (2. *. atom /. dx);
-      retag
-        (trim ~points (Grid (make_grid_n ~lo ~dx ~n:points buf)))
-        ~depth:1 ~err:(g1.err +. g2.err)
+      trim ~points (Grid (make_grid_n ~lo ~dx ~n:points buf))
     end
 
 let add_list ?points ds = List.fold_left (fun acc d -> add ?points acc d) (Const 0.) ds

@@ -88,12 +88,11 @@ val scale : t -> float -> t
 (** [scale d c] is the distribution of [c·X]; requires [c > 0]. *)
 
 val without_caches : t -> t
-(** The same distribution (bitwise: same samples, support and chain
-    metadata) as a fresh value whose lazily built interpolation caches
-    (spline, k-point atoms, third moment) are empty. The sampled arrays
-    are shared, not copied. Memo tables keep this view so that a cache
-    built while the value is in use is dropped with the use instead of
-    staying resident. *)
+(** The same distribution (bitwise: same samples and support) as a
+    fresh value whose lazily built interpolation caches (spline, k-point
+    atoms) are empty. The sampled arrays are shared, not copied. Memo
+    tables keep this view so that a cache built while the value is in
+    use is dropped with the use instead of staying resident. *)
 
 val resample : ?points:int -> t -> t
 (** Resample the density onto a fresh uniform grid of [points] samples. *)
@@ -104,53 +103,15 @@ val trim : ?eps:float -> ?points:int -> t -> t
     grid keeps tracking the region that actually carries mass (after many
     sums the support grows linearly but σ only as √k). *)
 
-(** {1 Convolution-chain mode}
-
-    Deep chains of sums converge to a normal; past a configurable depth
-    the moment-space fast path replaces the sampled convolution by the
-    CLT normal (μ and σ² add exactly), certified per step by the
-    Berry–Esseen inequality (see {!Numerics.Convolution.Moment_chain}).
-    The switch is process-wide and read once per {!add}; the default
-    [Exact] keeps every result — campaign CSVs, served bytes —
-    bit-reproducible. *)
-
-type chain_mode =
-  | Exact  (** always convolve sampled densities (the default) *)
-  | Moment of int
-      (** replace a sum by its CLT normal once the combined chain depth
-          of the operands reaches the given threshold (≥ 2) *)
-
-val set_chain_mode : chain_mode -> unit
-(** Set the process-wide mode. Raises [Invalid_argument] on
-    [Moment k] with [k < 2]. *)
-
-val current_chain_mode : unit -> chain_mode
-
-val chain_depth : t -> int
-(** Convolution-chain depth of this value: 0 for a point mass, 1 for a
-    base grid, [d₁ + d₂] after {!add}, reset to 1 by a maximum (a
-    synchronization point restarts the CLT argument). *)
-
-val chain_error_bound : t -> float
-(** Accumulated Kolmogorov (sup-CDF) distance bound versus the fully
-    exact sampled computation: 0 on every exact-path value; each
-    moment-space sum adds its Berry–Esseen step bound. Kolmogorov
-    distance is non-expansive under convolution and maxima of
-    independent variables, so the bound composes additively. *)
-
-val abs_third_central_moment : t -> float
-(** [E|X − μ|³], the Berry–Esseen numerator (0 for a point mass).
-    Cached on the grid after the first read. *)
-
 (** {1 Algebra of independent random variables} *)
 
 val add : ?points:int -> t -> t -> t
 (** [add d1 d2] is the distribution of [X₁ + X₂] for independent inputs:
     densities are convolved at a common resolution (direct for small
-    sizes, FFT / overlap–add beyond), then resampled
-    to [points]. Under [Moment k] (see {!set_chain_mode}) a sum whose
-    combined {!chain_depth} reaches [k] is replaced by its CLT normal
-    sampled on μ ± 4σ. *)
+    sizes, FFT / overlap–add beyond), then resampled to [points]. A
+    summand much narrower than the other is replaced by a mean-preserving
+    discretization: a 17-atom mass binning, or the two-point
+    [{μ−σ, μ+σ}] surrogate when it is below the working resolution. *)
 
 val max_indep : ?points:int -> t -> t -> t
 (** [max_indep d1 d2] is the distribution of [max(X₁, X₂)] under

@@ -107,9 +107,7 @@ val analyze :
 
     Sessions own their arrays (full {!analyze} calls on the same engine
     are unaffected) but are NOT thread-safe: use one session per
-    domain. A session assumes the process-wide
-    {!Distribution.Dist.set_chain_mode} does not change during its
-    life. *)
+    domain. *)
 
 type session
 

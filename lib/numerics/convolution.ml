@@ -30,40 +30,6 @@ let direct_into ~out a n b m =
       done
   done
 
-(* Moment-space fast path for long convolution chains. After enough
-   convolutions the partial sum is CLT-normal (the paper's Figs. 7–8:
-   ≈5–10 convolutions already look normal), so past a depth threshold
-   the chain can switch from sampled convolution to moment arithmetic —
-   μ and σ² add, and the result is materialized as a sampled normal.
-   The explicit accuracy certificate is the Berry–Esseen inequality for
-   independent, non-identically distributed summands:
-
-     sup_x |F_S(x) − Φ((x−μ)/σ)| ≤ C₀ · (Σᵢ ρᵢ) / (Σᵢ σᵢ²)^{3/2}
-
-   with ρᵢ = E|Xᵢ−μᵢ|³ and C₀ = 0.56 (Shevtsova 2010). Treating an
-   already-accumulated partial sum as a single summand keeps the bound
-   valid — the inequality holds for any decomposition into independent
-   parts — so a two-operand step bound composes by the triangle
-   inequality with whatever error the operands already carry
-   (Kolmogorov distance is non-expansive under both convolution and
-   independent maxima). *)
-module Moment_chain = struct
-  let c0 = 0.56
-
-  let bound ~rho3 ~var =
-    if var <= 0. || not (Float.is_finite var) then 1.
-    else Float.min 1. (c0 *. rho3 /. (var *. sqrt var))
-
-  let normal_pdf_into ~out ~n ~lo ~dx ~mean ~std =
-    if std <= 0. then invalid_arg "Moment_chain.normal_pdf_into: std must be positive";
-    if Array.length out < n then invalid_arg "Moment_chain.normal_pdf_into: buffer too short";
-    let inv = 1. /. (std *. sqrt (2. *. Float.pi)) in
-    for k = 0 to n - 1 do
-      let d = (lo +. (float_of_int k *. dx) -. mean) /. std in
-      Array.unsafe_set out k (inv *. exp (-0.5 *. d *. d))
-    done
-end
-
 (* Per-domain workspace: transform buffers are reused across calls (one
    set per power-of-two size, zeroed before use), so the distribution
    algebra's hot path — thousands of small convolutions per schedule

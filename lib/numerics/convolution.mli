@@ -21,27 +21,6 @@ val direct : float array -> float array -> float array
 val direct_into : out:float array -> float array -> int -> float array -> int -> unit
 (** [direct_into ~out a n b m] is {!direct} on prefixes, into [out]. *)
 
-(** Moment-space fast path for deep convolution chains: past a depth
-    threshold the partial sum is replaced by its CLT normal (μ and σ²
-    add), certified by the Berry–Esseen inequality
-    [sup|F−Φ| ≤ c0·Σρᵢ/(Σσᵢ²)^(3/2)] with [ρᵢ = E|Xᵢ−μᵢ|³]. Kolmogorov
-    distance is non-expansive under convolution and independent maxima,
-    so per-step bounds accumulate additively. *)
-module Moment_chain : sig
-  val c0 : float
-  (** Shevtsova's 2010 constant, 0.56. *)
-
-  val bound : rho3:float -> var:float -> float
-  (** One-step Berry–Esseen bound for summed third absolute central
-      moments [rho3] and summed variance [var], clamped to [0, 1]
-      (Kolmogorov distance cannot exceed 1; degenerate [var ≤ 0] reports
-      the vacuous 1). *)
-
-  val normal_pdf_into :
-    out:float array -> n:int -> lo:float -> dx:float -> mean:float -> std:float -> unit
-  (** Sample the normal density on [lo + k·dx], [k < n], into [out]. *)
-end
-
 val fft : float array -> float array -> float array
 (** Same result via zero-padded FFT, one forward transform per operand.
     O((n+m) log (n+m)). *)

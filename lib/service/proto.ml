@@ -512,8 +512,12 @@ let neighbor_label ~base ~task ~to_ ~at =
   | None -> Printf.sprintf "neighbor:%s:%d:%d" base task to_
   | Some a -> Printf.sprintf "neighbor:%s:%d:%d:%d" base task to_ a
 
+exception Infeasible_schedule of string
+
 (* Labeled schedules in spec order. Each random spec owns one RNG, so
-   schedule [i] of a seed is stable whatever else the job asks for. *)
+   schedule [i] of a seed is stable whatever else the job asks for.
+   A neighbor move is checked here, before any evaluation, so an
+   infeasible one fails the job with a message naming the spec. *)
 let expand_schedules job graph platform =
   List.concat_map
     (function
@@ -525,9 +529,16 @@ let expand_schedules job graph platform =
             ~n_procs:(Platform.n_procs platform) ~count
         in
         List.mapi (fun i s -> (Printf.sprintf "random:%Ld:%d" seed i, s)) scheds
-      | Neighbor { base; task; to_; at } ->
+      | Neighbor { base; task; to_; at } -> (
+        let label = neighbor_label ~base ~task ~to_ ~at in
         let b = run_base base graph platform in
-        [ (neighbor_label ~base ~task ~to_ ~at, Sched.Schedule.reassign ?at b ~task ~to_) ])
+        match Sched.Neighbor.apply_opt b (Sched.Neighbor.make ?at ~task ~to_ ()) with
+        | Some s -> [ (label, s) ]
+        | None ->
+          raise
+            (Infeasible_schedule
+               (Printf.sprintf "schedules: %s is infeasible for %s (deadlock or out of range)"
+                  label base))))
     job.schedules
 
 (* Rows coming from Neighbor specs: (row index, base name, move). The
@@ -679,4 +690,5 @@ let eval job =
       run_job ~engine job
     with
     | body -> Ok body
+    | exception Infeasible_schedule msg -> Error msg
     | exception exn -> Error (Printexc.to_string exn))

@@ -95,6 +95,14 @@ val context_of_job : job -> (context, string) result
     generation); the sharded server runs it on the job's owning worker
     domain (the ["admit"] stage), never on a connection domain. *)
 
+exception Infeasible_schedule of string
+(** Raised by {!run_job} when a schedule spec cannot be built on the
+    job's case: a [neighbor] move that is out of range or deadlocks the
+    base schedule. The message names the spec, e.g.
+    ["schedules: neighbor:HEFT:3:1 is infeasible for HEFT (deadlock or
+    out of range)"]. {!eval} returns it as an [Error]; the server
+    answers 422. *)
+
 val run_job :
   ?flight:Obs.Flight.record ->
   ?shard:int ->
@@ -114,7 +122,7 @@ val run_job :
     When [flight] is given, the work is split into the ["eval"]
     (expansion + metric sweep) and ["encode"] (JSON rendering) stages
     of that request's flight record, labeled with [shard] when the
-    caller is a sharded worker. *)
+    caller is a sharded worker. Raises {!Infeasible_schedule}. *)
 
 val eval : job -> (string, string) result
 (** One-shot local evaluation: context + fresh engine + {!run_job}.

@@ -8,7 +8,6 @@ type config = {
   queue_capacity : int;
   conn_domains : int;
   workers : int;
-  conn_admit : bool;
   limits : Http.limits;
   engine_cache : int;
   auto_worker : bool;
@@ -23,7 +22,6 @@ let default_config =
     queue_capacity = 64;
     conn_domains = 4;
     workers = 1;
-    conn_admit = false;
     limits = Http.default_limits;
     engine_cache = 8;
     auto_worker = true;
@@ -44,9 +42,6 @@ type jrec = {
   id : string;
   spec : Proto.job;
   key : string;
-  context : Proto.context option;
-      (* [Some] only under [conn_admit] (the pre-fix A/B baseline);
-         normally the owning worker materializes it in its "admit" stage *)
   shard : int;
   state : jstate Atomic.t;
   deadline : float option;
@@ -225,8 +220,7 @@ type submit_error =
    and the deadline stamp. The expensive half — [Proto.context_of_job],
    the ~50 ms workload/platform build that used to fight the evaluation
    pool for the minor heap — runs on the job's owning worker as its
-   "admit" stage. [conn_admit] restores the pre-fix placement so the
-   bench can measure the A/B. *)
+   "admit" stage. *)
 let submit t fl ~header_traced body : (jrec, submit_error) result =
   let decoded =
     Obs.Flight.timed ~record:fl ~stage:"decode" (fun () -> Proto.job_of_json body)
@@ -235,64 +229,49 @@ let submit t fl ~header_traced body : (jrec, submit_error) result =
   | Error e ->
     Atomic.incr t.c.c_rejected_invalid;
     Error (`Invalid (400, e))
-  | Ok spec -> (
-    let context =
-      if not t.config.conn_admit then Ok None
-      else
-        Obs.Flight.timed ~record:fl ~stage:"admit" (fun () ->
-            Result.map Option.some (Proto.context_of_job spec))
+  | Ok spec ->
+    (match spec.Proto.trace with
+    | Some tid when not header_traced -> fl.Obs.Flight.trace_id <- tid
+    | _ -> ());
+    let key = Proto.key_of_job spec in
+    let deadline =
+      Option.map
+        (fun ms -> Obs.Clock.now_s () +. (float_of_int ms /. 1000.))
+        spec.Proto.deadline_ms
     in
-    match context with
-    | Error e ->
-      Atomic.incr t.c.c_rejected_invalid;
-      Error (`Invalid (422, e))
-    | Ok context ->
-      (match spec.Proto.trace with
-      | Some tid when not header_traced -> fl.Obs.Flight.trace_id <- tid
-      | _ -> ());
-      let key =
-        match context with
-        | Some c -> c.Proto.key
-        | None -> Proto.key_of_job spec
-      in
-      let deadline =
-        Option.map
-          (fun ms -> Obs.Clock.now_s () +. (float_of_int ms /. 1000.))
-          spec.Proto.deadline_ms
-      in
-      let id = Printf.sprintf "job-%06d" (Atomic.fetch_and_add t.next_id 1) in
-      let shard = shard_of_key t key in
-      let sh = t.shards.(shard) in
-      let j =
-        { id; spec; key; context; shard; state = Atomic.make Queued; deadline; flight = fl }
-      in
-      Mutex.lock sh.mu;
-      let verdict =
-        if Atomic.get t.draining then Error `Draining
-        else if Queue.length sh.jobs >= t.config.queue_capacity then Error `Full
-        else begin
-          Queue.push j sh.jobs;
-          (* stamp only admitted jobs (a rejected request must not carry
-             a dangling open "queue" stage), and under the shard lock so
-             the stamp is in place before the worker can pop the job *)
-          Obs.Flight.mark_queued fl;
-          Ok j
-        end
-      in
-      let depth = Queue.length sh.jobs in
-      (match verdict with Ok _ -> Condition.signal sh.cond | Error _ -> ());
-      Mutex.unlock sh.mu;
-      (match verdict with
-      | Ok _ ->
-        Mutex.lock t.tmu;
-        Hashtbl.replace t.table id j;
-        Mutex.unlock t.tmu;
-        Atomic.incr t.c.c_submitted;
-        Obs.Metrics.set sh.g_depth (float_of_int depth)
-      | Error `Full -> Atomic.incr t.c.c_rejected_full
-      | Error `Draining -> Atomic.incr t.c.c_rejected_draining
-      | Error _ -> ());
-      verdict)
+    let id = Printf.sprintf "job-%06d" (Atomic.fetch_and_add t.next_id 1) in
+    let shard = shard_of_key t key in
+    let sh = t.shards.(shard) in
+    let j =
+      { id; spec; key; shard; state = Atomic.make Queued; deadline; flight = fl }
+    in
+    Mutex.lock sh.mu;
+    let verdict =
+      if Atomic.get t.draining then Error `Draining
+      else if Queue.length sh.jobs >= t.config.queue_capacity then Error `Full
+      else begin
+        Queue.push j sh.jobs;
+        (* stamp only admitted jobs (a rejected request must not carry
+           a dangling open "queue" stage), and under the shard lock so
+           the stamp is in place before the worker can pop the job *)
+        Obs.Flight.mark_queued fl;
+        Ok j
+      end
+    in
+    let depth = Queue.length sh.jobs in
+    (match verdict with Ok _ -> Condition.signal sh.cond | Error _ -> ());
+    Mutex.unlock sh.mu;
+    (match verdict with
+    | Ok _ ->
+      Mutex.lock t.tmu;
+      Hashtbl.replace t.table id j;
+      Mutex.unlock t.tmu;
+      Atomic.incr t.c.c_submitted;
+      Obs.Metrics.set sh.g_depth (float_of_int depth)
+    | Error `Full -> Atomic.incr t.c.c_rejected_full
+    | Error `Draining -> Atomic.incr t.c.c_rejected_draining
+    | Error _ -> ());
+    verdict
 
 (* Pop the oldest job plus every queued job sharing its key, preserving
    the order of what stays behind. Caller holds the shard's [mu]. *)
@@ -321,12 +300,7 @@ let engine_for t sh j =
     Ok (e, true)
   | None -> (
     Mutex.unlock sh.emu;
-    let context =
-      match j.context with
-      | Some c -> Ok c  (* conn_admit: built on the connection domain *)
-      | None -> Proto.context_of_job j.spec
-    in
-    match context with
+    match Proto.context_of_job j.spec with
     | Error e -> Error e
     | Ok context ->
       let e =
@@ -381,6 +355,9 @@ let run_batch t sh batch =
                 Atomic.set j.state (Done body);
                 Atomic.incr t.c.c_done;
                 Atomic.incr sh.sc_jobs
+              | exception Proto.Infeasible_schedule msg ->
+                Atomic.set j.state (Invalid msg);
+                Atomic.incr t.c.c_rejected_invalid
               | exception exn ->
                 Atomic.set j.state (Failed (Printexc.to_string exn));
                 Atomic.incr t.c.c_failed);

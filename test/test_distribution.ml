@@ -523,112 +523,6 @@ let lazy_spline_density_consistent () =
       (Dist.pdf_at r x) (Dist.pdf_at d x)
   done
 
-(* --- convolution-chain mode: depth/err bookkeeping and the
-   moment-space (Berry–Esseen) fast path --- *)
-
-(* Run [f] under [mode], always restoring the process-wide default so
-   the rest of the suite stays on the exact path. *)
-let with_chain_mode mode f =
-  Dist.set_chain_mode mode;
-  Fun.protect ~finally:(fun () -> Dist.set_chain_mode Dist.Exact) f
-
-let self_sum d n =
-  let acc = ref d in
-  for _ = 2 to n do
-    acc := Dist.add !acc d
-  done;
-  !acc
-
-let sup_cdf_distance a b =
-  let lo_a, hi_a = Dist.support a and lo_b, hi_b = Dist.support b in
-  let lo = Float.min lo_a lo_b and hi = Float.max hi_a hi_b in
-  let worst = ref 0. in
-  for k = 0 to 400 do
-    let x = lo +. ((hi -. lo) *. float_of_int k /. 400.) in
-    worst := Float.max !worst (Float.abs (Dist.cdf_at a x -. Dist.cdf_at b x))
-  done;
-  !worst
-
-let chain_bookkeeping () =
-  let u = Family.uniform ~lo:0. ~hi:1. () in
-  Alcotest.(check int) "base grid depth" 1 (Dist.chain_depth u);
-  Alcotest.(check int) "const depth" 0 (Dist.chain_depth (Dist.const 3.));
-  check_close "base err" 0. (Dist.chain_error_bound u);
-  let s2 = Dist.add u u in
-  Alcotest.(check int) "add sums depth" 2 (Dist.chain_depth s2);
-  let s3 = Dist.add s2 u in
-  Alcotest.(check int) "depth accumulates" 3 (Dist.chain_depth s3);
-  check_close "exact path err stays 0" 0. (Dist.chain_error_bound s3);
-  Alcotest.(check int) "shift keeps depth" 3 (Dist.chain_depth (Dist.shift s3 1.));
-  Alcotest.(check int) "scale keeps depth" 3 (Dist.chain_depth (Dist.scale s3 2.));
-  Alcotest.(check int) "resample keeps depth" 3
-    (Dist.chain_depth (Dist.resample ~points:64 s3));
-  (* a maximum is a synchronization point: the CLT argument restarts *)
-  Alcotest.(check int) "max resets depth" 1 (Dist.chain_depth (Dist.max_indep s3 s2));
-  Alcotest.(check int) "comonotone max resets depth" 1
-    (Dist.chain_depth (Dist.max_comonotone s3 s2));
-  check_close "third central moment of const" 0.
-    (Dist.abs_third_central_moment (Dist.const 2.));
-  Alcotest.(check bool) "third central moment positive" true
-    (Dist.abs_third_central_moment u > 0.)
-
-let chain_mode_rejects_threshold () =
-  Alcotest.check_raises "Moment 1"
-    (Invalid_argument "Dist.set_chain_mode: Moment depth must be >= 2") (fun () ->
-      Dist.set_chain_mode (Dist.Moment 1))
-
-(* Under [Moment k] the CLT replacement must stay within its advertised
-   Kolmogorov bound of the fully exact convolution chain, and close in
-   practice: the moment path exists to be indistinguishable at depth. *)
-let moment_chain_error_bound () =
-  let d = Family.uncertain ~ul:1.1 20. in
-  List.iter
-    (fun n ->
-      let exact = self_sum d n in
-      let approx = with_chain_mode (Dist.Moment 5) (fun () -> self_sum d n) in
-      Alcotest.(check int) (Printf.sprintf "depth %d tracked" n) n
-        (Dist.chain_depth approx);
-      let bound = Dist.chain_error_bound approx in
-      Alcotest.(check bool) (Printf.sprintf "depth %d bound positive" n) true
-        (bound > 0.);
-      check_close "exact chain err stays 0" 0. (Dist.chain_error_bound exact);
-      let dist = sup_cdf_distance approx exact in
-      if dist > bound +. 1e-9 then
-        Alcotest.failf "depth %d: sup-CDF distance %.4g exceeds bound %.4g" n dist
-          bound;
-      (* empirical quality, far tighter than the worst-case bound *)
-      if dist > 0.05 then
-        Alcotest.failf "depth %d: sup-CDF distance %.4g vs exact chain" n dist;
-      check_close ~eps:1e-2 (Printf.sprintf "depth %d mean" n) (Dist.mean exact)
-        (Dist.mean approx);
-      check_close ~eps:2e-2 (Printf.sprintf "depth %d std" n) (Dist.std exact)
-        (Dist.std approx))
-    [ 5; 12; 25; 50 ]
-
-(* Toggling Moment on and back off must leave the exact path
-   bit-reproducible — this is what keeps campaign CSVs and served bytes
-   stable under the default mode and `--exact`. *)
-let exact_mode_round_trip_bitwise () =
-  let d = Family.uncertain ~ul:1.2 10. in
-  let fingerprint () =
-    let s = self_sum d 8 in
-    List.map Int64.bits_of_float
-      [
-        Dist.mean s;
-        Dist.std s;
-        Dist.quantile s 0.05;
-        Dist.quantile s 0.5;
-        Dist.quantile s 0.95;
-        Dist.cdf_at s (Dist.mean s);
-      ]
-  in
-  let before = fingerprint () in
-  let under_moment = with_chain_mode (Dist.Moment 3) fingerprint in
-  let after = fingerprint () in
-  Alcotest.(check (list int64)) "exact bits unchanged by mode round-trip" before
-    after;
-  Alcotest.(check bool) "moment path actually engaged" true (under_moment <> before)
-
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "distribution"
@@ -715,13 +609,6 @@ let () =
           tc "max consts" `Quick clark_max_consts;
           clark_matches_grid_max;
           tc "of_dist" `Quick of_dist_roundtrip;
-        ] );
-      ( "chain",
-        [
-          tc "depth/err bookkeeping" `Quick chain_bookkeeping;
-          tc "mode rejects threshold < 2" `Quick chain_mode_rejects_threshold;
-          tc "moment bound vs exact chain" `Quick moment_chain_error_bound;
-          tc "exact round-trip bitwise" `Quick exact_mode_round_trip_bitwise;
         ] );
       ( "perf contracts",
         [

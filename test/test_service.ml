@@ -280,6 +280,75 @@ let proto_inline_key_stable () =
     | Error e -> Alcotest.failf "context: %s" e)
   | Error e, _ | _, Error e -> Alcotest.failf "context: %s" e
 
+(* The job of [repro eval --workload random -n 30 --procs 4 --ul 1.1
+   --schedules "HEFT,neighbor:HEFT:3:1"]: moving task 3 to p1 deadlocks
+   HEFT's processor orders. *)
+let infeasible_neighbor_job () =
+  {
+    (named_job ()) with
+    Proto.workload =
+      Proto.Named { kind = Experiments.Case.Random_graph; n = 30; procs = 4; seed = 1L };
+    schedules =
+      [ Proto.Heuristic "HEFT"; Proto.Neighbor { base = "HEFT"; task = 3; to_ = 1; at = None } ];
+  }
+
+let infeasible_neighbor_msg =
+  "schedules: neighbor:HEFT:3:1 is infeasible for HEFT (deadlock or out of range)"
+
+let proto_infeasible_neighbor_is_typed_error () =
+  match Proto.eval (infeasible_neighbor_job ()) with
+  | Error e -> Alcotest.(check string) "typed error names the spec" infeasible_neighbor_msg e
+  | Ok _ -> Alcotest.fail "infeasible neighbor evaluated"
+
+(* Byte-for-byte golden of [Proto.eval] (the body [repro eval] prints
+   and [POST /eval] serves): one line per backend, HEFT + five random
+   schedules + one feasible neighbor row. A change to these bytes must
+   be a deliberate re-freeze. *)
+let golden_eval_cases =
+  [
+    ("random30", Experiments.Case.Random_graph, 30, 29);
+    ("chol30", Experiments.Case.Cholesky, 30, 34);
+    ("ge35", Experiments.Case.Gauss_elim, 35, 34);
+  ]
+
+let golden_dir () =
+  if Sys.file_exists "golden" then "golden" else Filename.concat "test" "golden"
+
+let proto_eval_golden () =
+  List.iter
+    (fun (label, kind, n, task) ->
+      let path = Filename.concat (golden_dir ()) ("eval__" ^ label ^ ".json") in
+      let want =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      let backends = Makespan.Engine.[ Classical; Spelde; Dodin ] in
+      Alcotest.(check int) (label ^ " golden lines") (List.length backends) (List.length want);
+      List.iter2
+        (fun backend want ->
+          let job =
+            {
+              (named_job ()) with
+              Proto.workload = Proto.Named { kind; n; procs = 8; seed = 1L };
+              backend;
+              schedules =
+                [
+                  Proto.Heuristic "HEFT";
+                  Proto.Random { count = 5; seed = 3L };
+                  Proto.Neighbor { base = "HEFT"; task; to_ = 2; at = None };
+                ];
+            }
+          in
+          match Proto.eval job with
+          | Ok got ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s %s bytes" label (Makespan.Engine.backend_name backend))
+              (want ^ "\n") got
+          | Error e -> Alcotest.failf "%s: %s" label e)
+        backends want)
+    golden_eval_cases
+
 (* --- Server ------------------------------------------------------ *)
 
 let with_server ?(config = Server.default_config) f =
@@ -507,6 +576,29 @@ let server_rejects_invalid_requests () =
             Alcotest.(check int) "metrics alive" 200 resp.Http.status;
             Alcotest.(check bool) "metrics json" true
               (contains ~needle:"\"service\"" resp.Http.body)
+          | Error e -> Alcotest.fail (Http.error_to_string e)))
+
+let server_infeasible_neighbor_422 () =
+  with_server (fun t ->
+      with_client t (fun c ->
+          let job = infeasible_neighbor_job () in
+          (match Client.post c "/eval" (Proto.job_to_json job) with
+          | Ok resp ->
+            Alcotest.(check int) "sync status" 422 resp.Http.status;
+            Alcotest.(check string) "sync body"
+              (Printf.sprintf "{\"error\":\"%s\"}\n" infeasible_neighbor_msg)
+              resp.Http.body
+          | Error e -> Alcotest.fail (Http.error_to_string e));
+          let id = match Client.submit c job with Ok id -> id | Error e -> Alcotest.fail e in
+          (match Client.wait c id with
+          | Ok _ -> Alcotest.fail "infeasible neighbor job completed"
+          | Error _ -> ());
+          match Client.get c ("/jobs/" ^ id) with
+          | Ok resp ->
+            Alcotest.(check bool) "async status invalid" true
+              (contains ~needle:"\"invalid\"" resp.Http.body);
+            Alcotest.(check bool) "async error names the spec" true
+              (contains ~needle:infeasible_neighbor_msg resp.Http.body)
           | Error e -> Alcotest.fail (Http.error_to_string e)))
 
 let server_drain_cancels_queued () =
@@ -765,6 +857,9 @@ let () =
           tc "rejects invalid" `Quick proto_rejects_invalid;
           tc "deterministic" `Quick proto_eval_deterministic;
           tc "neighbor rows = fresh eval" `Quick proto_neighbor_rows_match_fresh_eval;
+          tc "infeasible neighbor is a typed error" `Quick
+            proto_infeasible_neighbor_is_typed_error;
+          tc "eval golden bytes" `Quick proto_eval_golden;
           tc "inline key" `Quick proto_inline_key_stable;
           tc "trace field roundtrip" `Quick proto_trace_field_roundtrip;
         ] );
@@ -778,6 +873,7 @@ let () =
           tc "backpressure 503" `Quick server_backpressure_503;
           tc "deadline 504" `Quick server_deadline_expires_504;
           tc "invalid requests" `Quick server_rejects_invalid_requests;
+          tc "infeasible neighbor 422" `Quick server_infeasible_neighbor_422;
           tc "drain cancels queued" `Quick server_drain_cancels_queued;
           tc "serve-drain-serve" `Quick server_restarts_after_stop;
           tc "trace propagation end to end" `Quick server_propagates_trace;
