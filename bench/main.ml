@@ -9,9 +9,15 @@
       binary defaults to "small").
 
    2. Times, with Bechamel, one kernel per figure — the computational
-      core that regenerates it — plus the substrate kernels they are
-      built from (FFT convolution, distribution sum/max, Monte-Carlo
-      batches, the scheduling heuristics, series-parallel reduction). *)
+      core that regenerates it — plus the layers they are built from
+      (distribution sum/max, convolution, the domain pool, the engine's
+      full and incremental sweeps, the scheduling heuristics, the
+      annealer, telemetry overhead), and writes every number to one
+      record, BENCH_kernels.json.
+
+   `dune exec bench/main.exe -- --perf-smoke` skips step 1 and times the
+   hot-layer kernels only; it writes the same record with fewer
+   entries. *)
 
 open Bechamel
 open Toolkit
@@ -103,7 +109,7 @@ let precomputed_rows =
 
 let special = lazy (Distribution.Family.special ())
 
-(* engine-vs-legacy fixtures: a batch of schedules of ONE case, the
+(* engine fixtures: a batch of schedules of ONE case, the
    usage pattern of the experiment sweeps (the engine is created once per
    case and amortizes its distribution caches across the batch) *)
 let batch_size = 8
@@ -200,8 +206,8 @@ let figure_tests =
            ignore (Stats.Correlation.pearson xs ys)));
   ]
 
-(* engine vs legacy: same work — full metric vectors for a batch of
-   schedules of one case — through the shared engine vs a one-shot
+(* the engine's per-case cache at work: full metric vectors for a batch
+   of schedules of one case through the shared engine vs a one-shot
    engine per schedule *)
 let engine_tests =
   [
@@ -224,11 +230,6 @@ let engine_tests =
                     (Metrics.Robustness.of_schedule s inst.E.Case.platform
                        inst.E.Case.model)))
              scheds));
-    Test.make ~name:"engine:classical-batch8"
-      (Staged.stage (fun () ->
-           let _, scheds = Lazy.force sched_batch in
-           let engine = Lazy.force shared_engine in
-           Array.iter (fun s -> ignore (Makespan.Engine.eval engine s)) scheds));
   ]
 
 (* telemetry overhead: the identical warm-cache engine eval with sinks
@@ -236,8 +237,8 @@ let engine_tests =
    state costs one atomic load per probe, so "obs:eval-sinks-off"
    should stay within noise (< 2%) of the untouched baseline. *)
 (* a small warm-cache fixture: per-run cost is tens of µs, so Bechamel
-   gets thousands of samples inside its quota and the ±% columns in
-   BENCH_obs.json measure probe cost rather than run-to-run noise *)
+   gets thousands of samples inside its quota and the overhead entry
+   measures probe cost rather than run-to-run noise *)
 let obs_fixture =
   lazy
     (let inst, sched = Lazy.force cholesky10 in
@@ -272,31 +273,18 @@ let obs_tests =
       (Staged.stage (with_sinks ~metrics:true ~spans:true eval_batch));
   ]
 
-(* substrate kernels *)
+(* substrate kernels; the scheduling heuristics are timed once each, by
+   the sched:* kernels below *)
 let substrate_tests =
   let u = Distribution.Family.uncertain ~ul:1.1 20. in
   [
     Test.make ~name:"substrate:fft-conv-256"
       (let a = Array.init 256 (fun i -> sin (float_of_int i)) in
        Staged.stage (fun () -> ignore (Numerics.Convolution.fft a a)));
-    Test.make ~name:"substrate:dist-add"
-      (Staged.stage (fun () -> ignore (Distribution.Dist.add u u)));
     Test.make ~name:"substrate:dist-max"
       (Staged.stage (fun () -> ignore (Distribution.Dist.max_indep u u)));
     Test.make ~name:"substrate:mc-100-realizations"
       (Staged.stage (fun () -> ignore (mc_batch (Lazy.force cholesky10) 100)));
-    Test.make ~name:"substrate:heft"
-      (Staged.stage (fun () ->
-           let inst, _ = Lazy.force random30 in
-           ignore (Sched.Heft.schedule inst.E.Case.graph inst.E.Case.platform)));
-    Test.make ~name:"substrate:bil"
-      (Staged.stage (fun () ->
-           let inst, _ = Lazy.force random30 in
-           ignore (Sched.Bil.schedule inst.E.Case.graph inst.E.Case.platform)));
-    Test.make ~name:"substrate:bmct"
-      (Staged.stage (fun () ->
-           let inst, _ = Lazy.force random30 in
-           ignore (Sched.Bmct.schedule inst.E.Case.graph inst.E.Case.platform)));
     Test.make ~name:"substrate:random-schedule"
       (let rng = Prng.Xoshiro.create 1L in
        Staged.stage (fun () ->
@@ -311,134 +299,17 @@ let substrate_tests =
            ignore (Sched.Slack.compute sched inst.E.Case.platform inst.E.Case.model)));
   ]
 
-(* Scheduler-framework overhead: the pre-refactor monolithic HEFT,
-   inlined verbatim from the seed tree, raced against the parameterized
-   Components/List_scheduler recomposition (plus one kernel per registry
-   entry). The acceptance bound on the refactor is framework-HEFT within
-   5% of this baseline; BENCH_sched.json records the comparison. *)
-module Legacy_heft = struct
-  let average_weights graph platform =
-    let mean_tau = Platform.mean_tau platform in
-    let mean_latency = Platform.mean_latency platform in
-    let m = Platform.n_procs platform in
-    let collapse v =
-      let row = Array.init m (fun p -> Platform.etc platform ~task:v ~proc:p) in
-      Array.fold_left ( +. ) 0. row /. float_of_int m
-    in
-    let edge u v =
-      match Dag.Graph.volume graph ~src:u ~dst:v with
-      | Some volume -> mean_latency +. (volume *. mean_tau)
-      | None -> 0.
-    in
-    { Dag.Levels.task = collapse; edge }
-
-  let rank_order graph platform =
-    let ranks = Dag.Levels.bottom_levels graph (average_weights graph platform) in
-    let tasks = Array.init (Dag.Graph.n_tasks graph) (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        match Float.compare ranks.(b) ranks.(a) with 0 -> Int.compare a b | c -> c)
-      tasks;
-    tasks
-
-  type slot = { s_start : float; s_finish : float; s_task : int }
-
-  type t = {
-    graph : Dag.Graph.t;
-    platform : Platform.t;
-    mutable slots : slot list array;
-    placed_proc : int array;
-    placed_finish : float array;
-  }
-
-  let create graph platform =
-    let n = Dag.Graph.n_tasks graph in
-    {
-      graph;
-      platform;
-      slots = Array.make (Platform.n_procs platform) [];
-      placed_proc = Array.make n (-1);
-      placed_finish = Array.make n 0.;
-    }
-
-  let ready_time t ~task ~proc =
-    let acc = ref 0. in
-    Array.iter
-      (fun (p, volume) ->
-        let arrival =
-          t.placed_finish.(p)
-          +. Platform.comm_time t.platform ~src:t.placed_proc.(p) ~dst:proc ~volume
-        in
-        if arrival > !acc then acc := arrival)
-      (Dag.Graph.preds t.graph task);
-    !acc
-
-  let find_slot slots ~ready ~dur =
-    let rec scan candidate = function
-      | [] -> candidate
-      | { s_start; s_finish; _ } :: rest ->
-        if candidate +. dur <= s_start then candidate
-        else scan (Float.max candidate s_finish) rest
-    in
-    scan ready slots
-
-  let eft t ~task ~proc =
-    let ready = ready_time t ~task ~proc in
-    let dur = Platform.etc t.platform ~task ~proc in
-    let start = find_slot t.slots.(proc) ~ready ~dur in
-    (start, start +. dur)
-
-  let place t ~task ~proc =
-    let start, finish = eft t ~task ~proc in
-    t.placed_proc.(task) <- proc;
-    t.placed_finish.(task) <- finish;
-    let rec insert = function
-      | [] -> [ { s_start = start; s_finish = finish; s_task = task } ]
-      | slot :: rest when slot.s_start < start -> slot :: insert rest
-      | slots -> { s_start = start; s_finish = finish; s_task = task } :: slots
-    in
-    t.slots.(proc) <- insert t.slots.(proc)
-
-  let to_schedule t =
-    let order =
-      Array.map (fun slots -> Array.of_list (List.map (fun s -> s.s_task) slots)) t.slots
-    in
-    Sched.Schedule.make ~graph:t.graph ~n_procs:(Platform.n_procs t.platform)
-      ~proc_of:(Array.copy t.placed_proc) ~order
-
-  let schedule graph platform =
-    let state = create graph platform in
-    let m = Platform.n_procs platform in
-    Array.iter
-      (fun task ->
-        let best_proc = ref 0 and best_finish = ref infinity in
-        for proc = 0 to m - 1 do
-          let _, finish = eft state ~task ~proc in
-          if finish < !best_finish then begin
-            best_finish := finish;
-            best_proc := proc
-          end
-        done;
-        place state ~task ~proc:!best_proc)
-      (rank_order graph platform);
-    to_schedule state
-end
-
+(* one kernel per registry entry, all on the random30/p8 case *)
 let sched_tests =
-  let on_random30 name run =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let inst, _ = Lazy.force random30 in
-           ignore (run inst.E.Case.graph inst.E.Case.platform)))
-  in
-  on_random30 "sched:heft-legacy" Legacy_heft.schedule
-  :: List.map
-       (fun e -> on_random30 ("sched:" ^ e.Sched.Registry.name) e.Sched.Registry.run)
-       Sched.Registry.entries
+  List.map
+    (fun e ->
+      Test.make ~name:("sched:" ^ e.Sched.Registry.name)
+        (Staged.stage (fun () ->
+             let inst, _ = Lazy.force random30 in
+             ignore (e.Sched.Registry.run inst.E.Case.graph inst.E.Case.platform))))
+    Sched.Registry.entries
 
-(* distribution/convolution/pool kernels: the zero-allocation hot layer.
-   These run both in the full bench and in `--perf-smoke` (the CI step
-   that writes BENCH_dist.json without reproducing every figure). *)
+(* distribution/convolution/pool kernels: the zero-allocation hot layer *)
 let uncertain = lazy (Distribution.Family.uncertain ~ul:1.1 20.)
 
 (* a wide partial like the mid-sweep completion distributions: ~12× the
@@ -495,10 +366,15 @@ let dist_tests =
            ignore !d));
   ]
 
-(* single-move incremental re-evaluation on the warm session; compare
-   against the full warm eval measured as live_classical_eval below *)
+(* a full warm eval of the 8-schedule batch vs a single-move incremental
+   re-evaluation on the warm session: their ratio is the re-eval speedup *)
 let reeval_tests =
   [
+    Test.make ~name:"engine:classical-batch8"
+      (Staged.stage (fun () ->
+           let _, scheds = Lazy.force sched_batch in
+           let engine = Lazy.force shared_engine in
+           Array.iter (fun s -> ignore (Makespan.Engine.eval engine s)) scheds));
     Test.make ~name:"engine:reeval-1move"
       (Staged.stage (fun () ->
            let session, move = Lazy.force reeval_fixture in
@@ -507,9 +383,9 @@ let reeval_tests =
 
 (* robustness-aware search: one short annealing run per Bechamel run (the
    whole probe/accept/frontier loop, sessions included) plus the raw swap
-   probe on a warm session. BENCH_search.json turns the first into the
-   moves/sec headline; the incremental share comes from one deterministic
-   run measured at write time, not from timing. *)
+   probe on a warm session. The first gives moves/sec; the incremental
+   share and frontier size come from one deterministic run, not from
+   timing. *)
 let search_steps_per_run = 32
 
 let heft_init inst =
@@ -588,6 +464,28 @@ let pool_tests =
                ignore (Sys.opaque_identity (c * c)))));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Part 3: the record, BENCH_kernels.json                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One row of the record. [layer] is the kernel-name prefix with any
+   figure number dropped ("fig6:..." is layer "fig"); [n] is the number
+   of Bechamel samples behind [value], or 1 for a deterministic count.
+   [(name, unit)] is unique within a record. *)
+type entry = { layer : string; name : string; unit : string; value : float; n : int }
+
+let layer_of name =
+  let prefix =
+    match String.index_opt name ':' with Some i -> String.sub name 0 i | None -> name
+  in
+  let k = ref (String.length prefix) in
+  while !k > 0 && prefix.[!k - 1] >= '0' && prefix.[!k - 1] <= '9' do
+    decr k
+  done;
+  String.sub prefix 0 !k
+
+let entry ?(n = 1) name unit value = { layer = layer_of name; name; unit; value; n }
+
 let pretty_ns ns =
   if Float.is_nan ns then "n/a"
   else if ns > 1e9 then Printf.sprintf "%8.3f  s" (ns /. 1e9)
@@ -595,358 +493,139 @@ let pretty_ns ns =
   else if ns > 1e3 then Printf.sprintf "%8.3f µs" (ns /. 1e3)
   else Printf.sprintf "%8.0f ns" ns
 
+(* Bechamel's [Instance.minor_allocated] reads [Gc.quick_stat], whose
+   minor-word count OCaml 5 advances only at a minor collection, so a
+   kernel that allocates less than a minor heap per sample reads 0. This
+   measure reads the calling domain's exact counter instead. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "words"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
+(* One protocol and one clock for every kernel: Bechamel samples the
+   monotonic clock and the minor-word counter together, and an OLS fit
+   against the run count gives ns and minor words per run. *)
 let run_kernels cfg tests =
   let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instances = [ Instance.monotonic_clock ] in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   List.concat_map
-    (fun test ->
-      List.map
-        (fun elt ->
-          let raw = Benchmark.run cfg instances elt in
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          let ns =
-            match Analyze.OLS.estimates est with
-            | Some [ v ] -> v
-            | _ -> Float.nan
-          in
-          Printf.printf "%-36s  %14s\n%!" (Test.Elt.name elt) (pretty_ns ns);
-          (Test.Elt.name elt, ns))
-        (Test.elements test))
-    tests
+    (fun elt ->
+      let raw = Benchmark.run cfg instances elt in
+      let per_run instance =
+        match Analyze.OLS.estimates (Analyze.one ols instance raw) with
+        | Some [ v ] -> v
+        | _ -> Float.nan
+      in
+      let name = Test.Elt.name elt and n = raw.Benchmark.stats.Benchmark.samples in
+      let ns = per_run Instance.monotonic_clock in
+      let words = per_run minor_words in
+      Printf.printf "%-36s  %14s  %14.0f\n%!" name (pretty_ns ns) words;
+      [ entry ~n name "ns/run" ns; entry ~n name "minor-words/run" words ])
+    (List.concat_map Test.elements tests)
 
-let run_benchmarks () =
-  Printf.printf "\n================ Bechamel kernels ================\n\n";
-  Printf.printf "%-36s  %14s\n" "kernel" "time/run";
-  Printf.printf "%s\n" (String.make 52 '-');
-  let figures =
-    run_kernels
-      (Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) ~kde:None ())
-      (figure_tests @ engine_tests @ substrate_tests @ sched_tests @ dist_tests
-     @ conv_tests @ pool_tests @ reeval_tests @ search_tests)
-  in
-  (* the obs kernels measure overheads expected to sit near zero, so
-     they get a longer quota and GC stabilization to push sampling noise
-     below the effect we are looking for *)
-  let obs =
-    run_kernels
-      (Benchmark.cfg ~limit:3000 ~quota:(Time.second 1.5) ~stabilize:true ~kde:None ())
-      obs_tests
-  in
-  figures @ obs
+let kernel_header title =
+  Printf.printf "\n================ %s ================\n\n" title;
+  Printf.printf "%-36s  %14s  %14s\n" "kernel" "time/run" "minor words/run";
+  Printf.printf "%s\n%!" (String.make 68 '-')
 
-(* BENCH_engine.json: the engine-vs-legacy record asked for by CI/review.
-   Hand-rolled JSON — the project deliberately has no JSON dependency. *)
-let write_bench_json results =
-  let json_field (name, ns) =
-    Printf.sprintf "    { \"name\": %S, \"ns\": %s }" name
-      (if Float.is_nan ns then "null" else Printf.sprintf "%.3f" ns)
+(* The derived numbers that CI or the docs cite, each from kernels of
+   this run (and skipped when one of them was not run), plus the
+   deterministic counts of one 256-step anneal. *)
+let derived kernels =
+  let ns name =
+    List.find_opt (fun e -> e.name = name && e.unit = "ns/run") kernels
   in
-  let speedup =
-    match
-      ( List.assoc_opt "engine:metrics-batch8" results,
-        List.assoc_opt "legacy:metrics-batch8" results )
-    with
-    | Some e, Some l when e > 0. && Float.is_finite e && Float.is_finite l ->
-      Printf.sprintf "%.3f" (l /. e)
-    | _ -> "null"
+  let ratio a b name unit f =
+    match (ns a, ns b) with
+    | Some a, Some b -> [ entry ~n:(min a.n b.n) name unit (f a.value b.value) ]
+    | _ -> []
   in
-  let oc = open_out "BENCH_engine.json" in
+  let counts =
+    let inst, _ = Lazy.force random30 in
+    let outcome =
+      Search.Anneal.run ~engine:(Lazy.force search_engine) ~init:(heft_init inst)
+        { Search.Anneal.default with steps = 256 }
+    in
+    [
+      entry "search:incremental-frac" "frac"
+        (Search.Anneal.incremental_fraction outcome.Search.Anneal.stats);
+      entry "search:frontier-size" "count"
+        (float_of_int (Search.Archive.size outcome.Search.Anneal.frontier));
+    ]
+  in
+  (match ns "search:anneal-32step" with
+  | Some a ->
+    [
+      entry ~n:a.n "search:moves-per-sec" "moves/s"
+        (float_of_int search_steps_per_run /. (a.value *. 1e-9));
+    ]
+  | None -> [])
+  @ counts
+  @ ratio "engine:classical-batch8" "engine:reeval-1move" "engine:reeval-1move-speedup" "x"
+      (fun batch reeval -> batch /. float_of_int batch_size /. reeval)
+  @ ratio "obs:eval-baseline" "obs:eval-sinks-off" "obs:sinks-off-overhead" "frac"
+      (fun base off -> (off -. base) /. base)
+
+(* Hand-rolled JSON: the project deliberately has no JSON dependency.
+   [commit] is the `git describe` stamp the service reports too. *)
+let write_record entries =
+  let row e =
+    Printf.sprintf
+      "    { \"layer\": %S, \"name\": %S, \"unit\": %S, \"value\": %s, \"n\": %d }"
+      e.layer e.name e.unit
+      (if Float.is_finite e.value then Printf.sprintf "%.4f" e.value else "null")
+      e.n
+  in
+  let oc = open_out "BENCH_kernels.json" in
   Printf.fprintf oc
     "{\n\
+    \  \"schema\": \"bench-kernels/1\",\n\
+    \  \"commit\": %S,\n\
+    \  \"cores\": %d,\n\
     \  \"scale\": %S,\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"engine_speedup_metrics_batch8\": %s,\n\
-    \  \"kernels\": [\n%s\n  ]\n\
+    \  \"entries\": [\n%s\n  ]\n\
      }\n"
-    scale.E.Scale.name speedup
-    (String.concat ",\n" (List.map json_field results));
-  close_out oc;
-  Printf.printf "\n[wrote BENCH_engine.json]\n%!"
-
-(* BENCH_obs.json: telemetry overhead record. "overhead_sinks_off_pct"
-   compares flag-toggling-off against the untouched baseline eval and is
-   the figure the < 2% acceptance bound applies to; the *_on columns are
-   relative to sinks-off. *)
-let write_obs_json results =
-  let get name =
-    match List.assoc_opt name results with
-    | Some ns when Float.is_finite ns && ns > 0. -> Some ns
-    | _ -> None
-  in
-  let ns_field name =
-    match get name with Some ns -> Printf.sprintf "%.3f" ns | None -> "null"
-  in
-  let pct_vs base name =
-    match (get base, get name) with
-    | Some b, Some a -> Printf.sprintf "%.2f" ((a -. b) /. b *. 100.)
-    | _ -> "null"
-  in
-  (* the spans/counters accumulated while benching are scratch: clear
-     them, and exercise the per-engine reset while we are at it *)
-  Makespan.Engine.reset_stats (Lazy.force shared_engine);
-  Obs.Metrics.reset ();
-  Obs.Span.reset ();
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scale\": %S,\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"eval_baseline_ns\": %s,\n\
-    \  \"eval_sinks_off_ns\": %s,\n\
-    \  \"eval_metrics_on_ns\": %s,\n\
-    \  \"eval_trace_on_ns\": %s,\n\
-    \  \"overhead_sinks_off_pct\": %s,\n\
-    \  \"overhead_metrics_on_pct\": %s,\n\
-    \  \"overhead_trace_on_pct\": %s\n\
-     }\n"
+    Service.Build_info.version
+    (Domain.recommended_domain_count ())
     scale.E.Scale.name
-    (ns_field "obs:eval-baseline")
-    (ns_field "obs:eval-sinks-off")
-    (ns_field "obs:eval-metrics-on")
-    (ns_field "obs:eval-trace-on")
-    (pct_vs "obs:eval-baseline" "obs:eval-sinks-off")
-    (pct_vs "obs:eval-sinks-off" "obs:eval-metrics-on")
-    (pct_vs "obs:eval-sinks-off" "obs:eval-trace-on");
+    (String.concat ",\n" (List.map row entries));
   close_out oc;
-  Printf.printf "[wrote BENCH_obs.json]\n%!"
+  Printf.printf "\n[wrote BENCH_kernels.json: %d entries]\n%!" (List.length entries)
 
-(* BENCH_dist.json: the before/after record of the zero-allocation kernel
-   layer. The headline speedup is the committed interleaved A/B probe
-   (seed binary and this binary alternated on the same machine — the only
-   sound protocol on a host with drifting background load); the kernels
-   array and the live eval numbers are re-measured on every run. *)
-let seed_baseline_ns_per_schedule = 23_015_611.
-let seed_baseline_minor_words_per_schedule = 4_024_988.
-let after_probe_ns_per_schedule = 11_091_376.
+let short_cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) ~kde:None ()
 
-(* live warm-engine classical eval: ns and minor words per schedule on
-   the same random30/p8 batch the engine benches use *)
-let measure_live_eval () =
-  let _, scheds = Lazy.force sched_batch in
-  let engine = Lazy.force shared_engine in
-  let eval_all () =
-    Array.iter (fun s -> ignore (Makespan.Engine.eval engine s)) scheds
-  in
-  eval_all ();
-  let iters = 5 in
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    eval_all ()
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let dw = Gc.minor_words () -. w0 in
-  let per = float_of_int (iters * Array.length scheds) in
-  (dt *. 1e9 /. per, dw /. per)
+(* the obs kernels measure overheads expected to sit near zero, so they
+   get a longer quota and GC stabilization to push sampling noise below
+   the effect we are looking for *)
+let obs_cfg = Benchmark.cfg ~limit:3000 ~quota:(Time.second 1.5) ~stabilize:true ~kde:None ()
 
-(* live warm-session single-move re-evaluation: ns and minor words per
-   re-evaluated schedule, same case and protocol as [measure_live_eval]
-   (40 warm iterations) so the two numbers are directly comparable *)
-let measure_live_reeval () =
-  let session, move = Lazy.force reeval_fixture in
-  let reeval () = ignore (Makespan.Engine.reevaluate_any ~commit:false session move) in
-  reeval ();
-  let iters = 5 * batch_size in
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    reeval ()
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let dw = Gc.minor_words () -. w0 in
-  let per = float_of_int iters in
-  (dt *. 1e9 /. per, dw /. per)
-
-let write_dist_json kernels =
-  let kernels =
-    List.filter
-      (fun (name, _) ->
-        List.exists
-          (fun p -> String.length name >= String.length p
-                    && String.sub name 0 (String.length p) = p)
-          [ "dist:"; "conv:"; "pool:"; "engine:" ])
-      kernels
-  in
-  let live_ns, live_words = measure_live_eval () in
-  let reeval_ns, reeval_words = measure_live_reeval () in
-  let json_field (name, ns) =
-    Printf.sprintf "    { \"name\": %S, \"ns\": %s }" name
-      (if Float.is_nan ns then "null" else Printf.sprintf "%.3f" ns)
-  in
-  let oc = open_out "BENCH_dist.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"unit\": \"ns\",\n\
-    \  \"protocol\": \"interleaved A/B probe vs seed 839f515, random30/p8 case, 8-schedule batch, 40 warm iterations\",\n\
-    \  \"baseline_classical_eval_ns_per_schedule\": %.0f,\n\
-    \  \"baseline_classical_eval_minor_words_per_schedule\": %.0f,\n\
-    \  \"after_classical_eval_ns_per_schedule\": %.0f,\n\
-    \  \"after_classical_eval_minor_words_per_schedule\": %.0f,\n\
-    \  \"speedup_classical_eval\": %.3f,\n\
-    \  \"minor_alloc_drop_pct\": %.1f,\n\
-    \  \"live_classical_eval_ns_per_schedule\": %.0f,\n\
-    \  \"live_classical_eval_minor_words_per_schedule\": %.0f,\n\
-    \  \"reeval_1move_ns_per_schedule\": %.0f,\n\
-    \  \"reeval_1move_minor_words_per_schedule\": %.0f,\n\
-    \  \"reeval_speedup_vs_full_eval\": %.2f,\n\
-    \  \"kernels\": [\n%s\n  ]\n\
-     }\n"
-    seed_baseline_ns_per_schedule seed_baseline_minor_words_per_schedule
-    after_probe_ns_per_schedule live_words
-    (seed_baseline_ns_per_schedule /. after_probe_ns_per_schedule)
-    ((seed_baseline_minor_words_per_schedule -. live_words)
-    /. seed_baseline_minor_words_per_schedule *. 100.)
-    live_ns live_words reeval_ns reeval_words
-    (if reeval_ns > 0. then live_ns /. reeval_ns else 0.)
-    (String.concat ",\n" (List.map json_field kernels));
-  close_out oc;
-  Printf.printf "[wrote BENCH_dist.json]\n%!"
-
-(* BENCH_sched.json: the list-scheduler framework overhead record. The
-   headline is framework HEFT (Components + List_scheduler recomposition)
-   vs the inlined pre-refactor monolith on the identical random30 case —
-   the ≤ 5% acceptance bound applies to "overhead_framework_heft_pct".
-   Every other registry entry's time rides along for context. *)
-let write_sched_json results =
-  let prefix = "sched:" in
-  let kernels =
-    List.filter
-      (fun (name, _) ->
-        String.length name >= String.length prefix
-        && String.sub name 0 (String.length prefix) = prefix)
-      results
-  in
-  let get name =
-    match List.assoc_opt name results with
-    | Some ns when Float.is_finite ns && ns > 0. -> Some ns
-    | _ -> None
-  in
-  let ns_field name =
-    match get name with Some ns -> Printf.sprintf "%.3f" ns | None -> "null"
-  in
-  let overhead =
-    match (get "sched:heft-legacy", get "sched:HEFT") with
-    | Some l, Some f -> Printf.sprintf "%.2f" ((f -. l) /. l *. 100.)
-    | _ -> "null"
-  in
-  let json_field (name, ns) =
-    Printf.sprintf "    { \"name\": %S, \"ns\": %s }" name
-      (if Float.is_nan ns then "null" else Printf.sprintf "%.3f" ns)
-  in
-  let oc = open_out "BENCH_sched.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"case\": \"random30/p8\",\n\
-    \  \"legacy_heft_ns\": %s,\n\
-    \  \"framework_heft_ns\": %s,\n\
-    \  \"overhead_framework_heft_pct\": %s,\n\
-    \  \"kernels\": [\n%s\n  ]\n\
-     }\n"
-    (ns_field "sched:heft-legacy")
-    (ns_field "sched:HEFT") overhead
-    (String.concat ",\n" (List.map json_field kernels));
-  close_out oc;
-  Printf.printf "[wrote BENCH_sched.json]\n%!"
-
-(* BENCH_search.json: the stochastic-optimizer throughput record. The
-   headline is moves/sec through the full annealing loop (probes,
-   adoptions, frontier bookkeeping) on random30/p8; "incremental_pct" is
-   the share of all evaluation work served by dirty-cone replay during a
-   deterministic 256-step run — the ≥ 80% acceptance bound applies to
-   it. *)
-let write_search_json results =
-  let prefix = "search:" in
-  let kernels =
-    List.filter
-      (fun (name, _) ->
-        String.length name >= String.length prefix
-        && String.sub name 0 (String.length prefix) = prefix)
-      results
-  in
-  let get name =
-    match List.assoc_opt name results with
-    | Some ns when Float.is_finite ns && ns > 0. -> Some ns
-    | _ -> None
-  in
-  let ns_field name =
-    match get name with Some ns -> Printf.sprintf "%.3f" ns | None -> "null"
-  in
-  let moves_per_sec =
-    match get "search:anneal-32step" with
-    | Some ns -> Printf.sprintf "%.1f" (float_of_int search_steps_per_run /. (ns *. 1e-9))
-    | None -> "null"
-  in
-  let inst, _ = Lazy.force random30 in
-  let outcome =
-    Search.Anneal.run ~engine:(Lazy.force search_engine) ~init:(heft_init inst)
-      { Search.Anneal.default with steps = 256 }
-  in
-  let stats = outcome.Search.Anneal.stats in
-  let json_field (name, ns) =
-    Printf.sprintf "    { \"name\": %S, \"ns\": %s }" name
-      (if Float.is_nan ns then "null" else Printf.sprintf "%.3f" ns)
-  in
-  let oc = open_out "BENCH_search.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"case\": \"random30/p8\",\n\
-    \  \"objective\": %S,\n\
-    \  \"steps_per_run\": %d,\n\
-    \  \"anneal_run_ns\": %s,\n\
-    \  \"moves_per_sec\": %s,\n\
-    \  \"probe_swap_ns\": %s,\n\
-    \  \"probe_reassign_ns\": %s,\n\
-    \  \"ref_steps\": %d,\n\
-    \  \"incremental_pct\": %.2f,\n\
-    \  \"objective_improvement_pct\": %.2f,\n\
-    \  \"frontier_size\": %d,\n\
-    \  \"kernels\": [\n%s\n  ]\n\
-     }\n"
-    (Search.Objective.name Search.Anneal.default.Search.Anneal.objective)
-    search_steps_per_run
-    (ns_field "search:anneal-32step")
-    moves_per_sec
-    (ns_field "search:probe-swap")
-    (ns_field "engine:reeval-1move")
-    stats.Search.Anneal.steps_done
-    (100. *. Search.Anneal.incremental_fraction stats)
-    (100.
-    *. (outcome.Search.Anneal.init_objective -. outcome.Search.Anneal.best_objective)
-    /. Float.max 1e-12 (Float.abs outcome.Search.Anneal.init_objective))
-    (Search.Archive.size outcome.Search.Anneal.frontier)
-    (String.concat ",\n" (List.map json_field kernels));
-  close_out oc;
-  Printf.printf "[wrote BENCH_search.json]\n%!"
-
-(* `--perf-smoke`: the CI fast path — only the dist/conv/pool/sched/search
-   kernels, short quotas, no figure reproduction. Still writes
-   BENCH_dist.json, BENCH_sched.json and BENCH_search.json. *)
-let perf_smoke () =
-  Printf.printf
-    "================ perf smoke (dist/conv/pool/sched/reeval/search) ================\n\n";
-  Printf.printf "%-36s  %14s\n" "kernel" "time/run";
-  Printf.printf "%s\n" (String.make 52 '-');
-  let kernels =
-    run_kernels
-      (Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) ~kde:None ())
-      (dist_tests @ conv_tests @ pool_tests @ sched_tests @ reeval_tests @ search_tests)
-  in
-  write_dist_json kernels;
-  write_sched_json kernels;
-  write_search_json kernels;
-  Parallel.Pool.shutdown (Lazy.force bench_pool)
-
+(* The full run reproduces every figure, then times every kernel.
+   `--perf-smoke` (the CI fast path) skips the figures and times the
+   dist/conv/pool/sched/re-eval/search kernels only. Both write
+   BENCH_kernels.json. *)
 let () =
-  if Array.exists (fun a -> a = "--perf-smoke") Sys.argv then perf_smoke ()
-  else begin
-    reproduce ();
-    let results = run_benchmarks () in
-    write_bench_json results;
-    write_obs_json results;
-    write_dist_json results;
-    write_sched_json results;
-    write_search_json results;
-    Parallel.Pool.shutdown (Lazy.force bench_pool)
-  end
+  let smoke = Array.exists (fun a -> a = "--perf-smoke") Sys.argv in
+  let hot = dist_tests @ conv_tests @ pool_tests @ sched_tests @ reeval_tests @ search_tests in
+  let kernels =
+    if smoke then begin
+      kernel_header "perf smoke (dist/conv/pool/sched/reeval/search)";
+      run_kernels short_cfg hot
+    end
+    else begin
+      reproduce ();
+      kernel_header "Bechamel kernels";
+      let timed = run_kernels short_cfg (figure_tests @ engine_tests @ substrate_tests @ hot) in
+      timed @ run_kernels obs_cfg obs_tests
+    end
+  in
+  write_record (kernels @ derived kernels);
+  Parallel.Pool.shutdown (Lazy.force bench_pool)

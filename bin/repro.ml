@@ -218,9 +218,17 @@ let procs_arg =
 let ul_arg =
   Arg.(value & opt float 1.1 & info [ "ul" ] ~docv:"UL" ~doc:"Uncertainty level (>= 1).")
 
+(* a bad case (UL < 1, no processors, ...) is a user error: the same
+   typed "workload: ..." message and exit code 1 as `repro eval` *)
 let instance kind n procs ul seed =
-  E.Case.instantiate
-    (E.Case.make ~kind ~n_target:n ~n_procs:procs ~ul ~seed:(Int64.add 1L seed) ())
+  match
+    E.Case.instantiate
+      (E.Case.make ~kind ~n_target:n ~n_procs:procs ~ul ~seed:(Int64.add 1L seed) ())
+  with
+  | inst -> inst
+  | exception Invalid_argument msg ->
+    prerr_endline ("repro: workload: " ^ msg);
+    Stdlib.exit 1
 
 let run_gantt kind n procs ul seed =
   let inst = instance kind n procs ul seed in

@@ -28,7 +28,8 @@ val make :
   t
 (** Defaults follow the paper: processors 3/8/16 for ≈10/30/≥100 tasks;
     10 000 random schedules (2 000 when n ≥ 100); id derived from the
-    parameters. *)
+    parameters. Raises [Invalid_argument] unless [n_target] and [n_procs]
+    are positive and [ul] is finite and [>= 1]. *)
 
 type instance = {
   case : t;

@@ -143,7 +143,8 @@ let check_points points =
   if points < 2 then invalid_arg "Stochastify.make: points must be >= 2"
 
 let make_shaped ?(points = Distribution.Dist.default_points) ~shape ~ul () =
-  if ul < 1. then invalid_arg "Stochastify.make: UL must be >= 1";
+  if not (Float.is_finite ul && ul >= 1.) then
+    invalid_arg "Stochastify.make: UL must be finite and >= 1";
   check_points points;
   check_shape shape;
   { ul; shape; points; task_ul = None }
@@ -153,7 +154,8 @@ let make ?(alpha = 2.) ?(beta = 5.) ?points ~ul () =
 
 let make_variable ?(alpha = 2.) ?(beta = 5.) ?(points = Distribution.Dist.default_points)
     ~base_ul ~task_ul () =
-  if base_ul < 1. then invalid_arg "Stochastify.make_variable: base UL must be >= 1";
+  if not (Float.is_finite base_ul && base_ul >= 1.) then
+    invalid_arg "Stochastify.make_variable: base UL must be finite and >= 1";
   check_points points;
   let shape = Beta { alpha; beta } in
   check_shape shape;

@@ -33,7 +33,8 @@ type t = private {
 
 val make : ?alpha:float -> ?beta:float -> ?points:int -> ul:float -> unit -> t
 (** The paper's model: Beta shape with α = 2, β = 5 by default,
-    points = {!Distribution.Dist.default_points}. *)
+    points = {!Distribution.Dist.default_points}. Raises
+    [Invalid_argument] unless [ul] is finite and [>= 1]. *)
 
 val make_shaped : ?points:int -> shape:shape -> ul:float -> unit -> t
 (** Any {!shape}; parameters validated. *)

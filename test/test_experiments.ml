@@ -47,6 +47,17 @@ let case_defaults () =
   Alcotest.(check int) "procs for large" 16 c100.Experiments.Case.n_procs;
   Alcotest.(check int) "2000 schedules at n>=100" 2000 c100.Experiments.Case.paper_schedules
 
+(* NaN and infinity fail the UL check like a UL below 1, so no case
+   reaches the distribution layer with a degenerate support *)
+let case_rejects_bad_ul () =
+  List.iter
+    (fun ul ->
+      Alcotest.(check bool) (Printf.sprintf "ul=%g rejected" ul) true
+        (match Experiments.Case.make ~kind:Experiments.Case.Cholesky ~n_target:10 ~ul () with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ Float.nan; Float.infinity; 0.5 ]
+
 let case_instantiate_sizes () =
   (* structured kinds realize the closest size to the target *)
   let check kind target lo hi =
@@ -490,6 +501,7 @@ let () =
       ( "case",
         [
           tc "defaults" `Quick case_defaults;
+          tc "rejects bad ul" `Quick case_rejects_bad_ul;
           tc "instantiate sizes" `Quick case_instantiate_sizes;
           tc "deterministic" `Quick case_instantiate_deterministic;
           tc "paper cases" `Quick paper_cases_count;

@@ -300,6 +300,26 @@ let proto_infeasible_neighbor_is_typed_error () =
   | Error e -> Alcotest.(check string) "typed error names the spec" infeasible_neighbor_msg e
   | Ok _ -> Alcotest.fail "infeasible neighbor evaluated"
 
+(* A non-finite or sub-1 UL is rejected while the context is built, as a
+   typed error naming the field, for both workload forms: the named case
+   through [Case.make], the inline one through [Stochastify.make]. *)
+let proto_bad_ul_is_typed_error () =
+  let starts_with ~prefix s =
+    String.length s >= String.length prefix
+    && String.sub s 0 (String.length prefix) = prefix
+  in
+  List.iter
+    (fun ul ->
+      let expect label job prefix =
+        match Proto.eval job with
+        | Error e when starts_with ~prefix e -> ()
+        | Error e -> Alcotest.failf "%s ul=%g: untyped error %S" label ul e
+        | Ok _ -> Alcotest.failf "%s ul=%g evaluated" label ul
+      in
+      expect "named" (named_job ~ul ()) "workload: Case.make: ";
+      expect "inline" { (inline_job ()) with Proto.ul } "ul: Stochastify.make: ")
+    [ Float.infinity; Float.nan; 0.5 ]
+
 (* Byte-for-byte golden of [Proto.eval] (the body [repro eval] prints
    and [POST /eval] serves): one line per backend, HEFT + five random
    schedules + one feasible neighbor row. A change to these bytes must
@@ -859,6 +879,7 @@ let () =
           tc "neighbor rows = fresh eval" `Quick proto_neighbor_rows_match_fresh_eval;
           tc "infeasible neighbor is a typed error" `Quick
             proto_infeasible_neighbor_is_typed_error;
+          tc "bad ul is a typed error" `Quick proto_bad_ul_is_typed_error;
           tc "eval golden bytes" `Quick proto_eval_golden;
           tc "inline key" `Quick proto_inline_key_stable;
           tc "trace field roundtrip" `Quick proto_trace_field_roundtrip;

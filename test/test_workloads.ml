@@ -343,11 +343,21 @@ let shape_validation () =
         ~shape:(Workloads.Stochastify.Triangular { mode = 1.5 })
         ~ul:1.1 ())
 
+(* NaN slips through a bare [ul < 1.] test and infinity passes it; both
+   must be rejected up front rather than fail deep inside Dist *)
 let stochastify_rejects_bad_ul () =
-  Alcotest.(check bool) "ul < 1 rejected" true
-    (match Workloads.Stochastify.make ~ul:0.9 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  List.iter
+    (fun ul ->
+      let rejected f =
+        match f () with exception Invalid_argument _ -> true | _ -> false
+      in
+      Alcotest.(check bool) (Printf.sprintf "make ul=%g" ul) true
+        (rejected (fun () -> ignore (Workloads.Stochastify.make ~ul ())));
+      Alcotest.(check bool) (Printf.sprintf "make_variable base_ul=%g" ul) true
+        (rejected (fun () ->
+             ignore
+               (Workloads.Stochastify.make_variable ~base_ul:ul ~task_ul:(fun _ -> 1.1) ()))))
+    [ 0.9; Float.nan; Float.infinity ]
 
 let () =
   let tc = Alcotest.test_case in
